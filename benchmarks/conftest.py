@@ -8,6 +8,7 @@ Expensive shared state (engine, reasoned scenarios) is session-scoped so a
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -48,6 +49,20 @@ def best_of(repeats, fn):
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, result
+
+
+def record_bench(filename: str, key: str, payload: dict) -> None:
+    """Merge one gate's measurements under ``key`` into ``filename``."""
+    data = {}
+    if os.path.exists(filename):
+        try:
+            with open(filename) as handle:
+                data = json.load(handle)
+        except (OSError, ValueError):
+            data = {}
+    data[key] = payload
+    with open(filename, "w") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
 
 
 @pytest.fixture(scope="session")

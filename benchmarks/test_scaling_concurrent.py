@@ -48,14 +48,12 @@ artifact next to ``BENCH_sparql.json`` / ``BENCH_memory.json``).
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import replace
 
 import pytest
-from conftest import BENCH_SCALE, build_kg, scaled
+from conftest import BENCH_SCALE, build_kg, record_bench, scaled
 
 from repro.core.engine import ExplanationEngine
 from repro.core.questions import parse_question
@@ -108,21 +106,6 @@ HERD_CLIENTS = 6
 #: quarter-scale run amortises the (fixed-size) herd materialisations over
 #: far fewer warm ops.
 P99_CEILING_MS = 1000.0 if BENCH_SCALE >= 1.0 else 2500.0
-
-
-def _record_bench(key: str, payload: dict) -> None:
-    """Merge one gate's measurements into the BENCH_concurrent.json summary."""
-    path = os.environ.get("REPRO_BENCH_CONCURRENT_OUT", "BENCH_concurrent.json")
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
 
 
 def _tenants(count):
@@ -368,7 +351,7 @@ def test_sharded_fleet_is_3x_serial_capacity_under_mixed_traffic(bench_engine, t
           f"cold start {cold_start_seconds:.2f}s from {snap_stats['bytes']} B "
           f"snapshot (warm build {warm_seconds:.1f}s), "
           f"{closure_misses} misses / {single_flight_waits} single-flight waits")
-    _record_bench("sharded_vs_serial_throughput", {
+    record_bench("BENCH_concurrent.json", "sharded_vs_serial_throughput", {
         "sessions": SESSIONS,
         "tenants": TENANTS,
         "shards": NUM_SHARDS,

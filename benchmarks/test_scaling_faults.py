@@ -41,14 +41,12 @@ next to ``BENCH_concurrent.json``).
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import replace
 
 import pytest
-from conftest import BENCH_SCALE, build_kg, scaled
+from conftest import BENCH_SCALE, build_kg, record_bench, scaled
 
 from repro.core.engine import ExplanationEngine
 from repro.core.questions import parse_question
@@ -98,21 +96,6 @@ RECOVERY_P99_FACTOR = 2.0
 P99_FLOOR_SECONDS = 0.05
 #: A phase that has not finished in this long has hung requests.
 PHASE_WALL_LIMIT = 240.0
-
-
-def _record_bench(key: str, payload: dict) -> None:
-    """Merge one gate's measurements into the BENCH_faults.json summary."""
-    path = os.environ.get("REPRO_BENCH_FAULTS_OUT", "BENCH_faults.json")
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
 
 
 def _tenants(count):
@@ -373,7 +356,7 @@ def test_fleet_serves_correctly_under_seeded_chaos(tmp_path):
           f"p99 clean {p99_clean * 1000:.1f} ms -> chaos "
           f"{_p99(chaos_lat) * 1000:.1f} ms -> recovered "
           f"{p99_recovered * 1000:.1f} ms (ceiling {p99_ceiling * 1000:.1f} ms)")
-    _record_bench("chaos_serving", {
+    record_bench("BENCH_faults.json", "chaos_serving", {
         "tenants": TENANTS,
         "shards": NUM_SHARDS,
         "workers_per_shard": WORKERS_PER_SHARD,

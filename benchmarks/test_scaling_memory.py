@@ -1,55 +1,32 @@
-"""Storage-engine gates: dictionary encoding vs. term-tuple storage.
+"""Storage-engine gate: dictionary encoding vs. term-tuple storage.
 
-Two acceptance gates for the encoded triple store:
+**Peak memory** — building the synthetic scaling fixture into the
+dictionary-encoded :class:`~repro.rdf.graph.Graph` must allocate at least
+30% less peak memory (tracemalloc) than a term-tuple baseline store using
+the pre-encoding layout (term-keyed SPO/POS/OSP indexes and a set of term
+tuples).  The fixture constructs a *fresh* term object per position, the
+way parsers and the FoodKG loader do: the baseline retains every copy, the
+encoded store interns one canonical term per distinct value and keeps
+compact ``(int, int, int)`` tuples.
 
-* **Peak memory** — building the synthetic scaling fixture into the
-  dictionary-encoded :class:`~repro.rdf.graph.Graph` must allocate at
-  least 30% less peak memory (tracemalloc) than a term-tuple baseline
-  store using the pre-encoding layout (term-keyed SPO/POS/OSP indexes and
-  a set of term tuples).  The fixture constructs a *fresh* term object per
-  position, the way parsers and the FoodKG loader do: the baseline
-  retains every copy, the encoded store interns one canonical term per
-  distinct value and keeps compact ``(int, int, int)`` tuples.
-* **Closure speed** — the encoded reasoner (:meth:`Reasoner.run`) must
-  materialise the scaling knowledge graph at least 2x faster than the
-  term-object engine it replaced (kept as :meth:`Reasoner.run_term`),
-  producing an identical closure.
-
-Both measurements land in ``BENCH_memory.json`` (CI uploads it as an
-artifact next to ``BENCH_sparql.json``).
+The measurement lands in ``BENCH_memory.json`` (CI uploads it as an
+artifact next to ``BENCH_sparql.json``).  Closure speed is gated against
+the naive oracle in ``test_scaling_reasoner.py``.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import os
 import tracemalloc
 from typing import Dict, Set, Tuple
 
-from conftest import best_of, build_kg, scaled
+from conftest import record_bench, scaled
 
-from repro.owl import Reasoner
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal
 
 _FOOD = "http://purl.org/heals/food/"
 _KB = "http://idea.rpi.edu/heals/kb/"
-
-
-def _record_bench(key: str, payload: dict) -> None:
-    """Merge one gate's measurements into the BENCH_memory.json summary."""
-    path = os.environ.get("REPRO_BENCH_MEMORY_OUT", "BENCH_memory.json")
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
 
 
 class TermTupleStore:
@@ -149,7 +126,7 @@ def test_encoded_store_peak_memory_is_30pct_smaller():
           f"encoded peak={encoded_peak / 1e6:.1f}MB "
           f"-> {reduction:.0%} less (retained: {retained_reduction:.0%} less, "
           f"{len(encoded.dictionary)} interned terms)")
-    _record_bench("storage_peak_memory", {
+    record_bench("BENCH_memory.json", "storage_peak_memory", {
         "triples": len(encoded),
         "interned_terms": len(encoded.dictionary),
         "baseline_peak_bytes": baseline_peak,
@@ -161,30 +138,4 @@ def test_encoded_store_peak_memory_is_30pct_smaller():
     })
     assert reduction >= 0.30, (
         f"encoded storage must cut peak memory by >=30%, got {reduction:.0%}"
-    )
-
-
-def test_encoded_reasoner_closure_is_2x_faster_than_term_engine():
-    """Gate: >=2x on the closure hot path vs. the term-object run()."""
-    _, graph = build_kg(extra_recipes=scaled(100), extra_ingredients=scaled(50))
-
-    term_seconds, term_closure = best_of(3, lambda: Reasoner(graph).run_term())
-    encoded_seconds, encoded_closure = best_of(3, lambda: Reasoner(graph).run())
-
-    assert encoded_closure == term_closure, (
-        "encoded closure diverged from the term-engine closure")
-    speedup = term_seconds / encoded_seconds
-    print(f"\nclosure hot path: term engine={term_seconds * 1000:.1f}ms "
-          f"encoded={encoded_seconds * 1000:.1f}ms -> {speedup:.1f}x "
-          f"(asserted={len(graph)}, closed={len(encoded_closure)})")
-    _record_bench("reasoner_closure_speedup", {
-        "asserted_triples": len(graph),
-        "closed_triples": len(encoded_closure),
-        "term_engine_seconds": round(term_seconds, 6),
-        "encoded_seconds": round(encoded_seconds, 6),
-        "speedup": round(speedup, 2),
-    })
-    assert speedup >= 2.0, (
-        f"encoded closure must be >=2x faster than the term engine, "
-        f"got {speedup:.1f}x"
     )

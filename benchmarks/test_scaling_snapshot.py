@@ -23,11 +23,9 @@ next to ``BENCH_concurrent.json`` / ``BENCH_sparql.json``).
 
 from __future__ import annotations
 
-import json
-import os
 
 import pytest
-from conftest import BENCH_SCALE, best_of, build_kg, scaled
+from conftest import BENCH_SCALE, best_of, build_kg, record_bench, scaled
 
 from repro.rdf.graph import Graph
 from repro.storage import load_snapshot, save_snapshot
@@ -55,21 +53,6 @@ SELECT ?s ?label WHERE {
     ?s rdfs:label ?label .
 }
 """
-
-
-def _record_bench(key: str, payload: dict) -> None:
-    """Merge one gate's measurements into the BENCH_snapshot.json summary."""
-    path = os.environ.get("REPRO_BENCH_SNAPSHOT_OUT", "BENCH_snapshot.json")
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +94,7 @@ def test_snapshot_load_is_10x_faster_than_turtle_rebuild(bench_graph, tmp_path):
           f"turtle parse {parse_seconds * 1000:.1f} ms vs snapshot load "
           f"{load_seconds * 1000:.1f} ms -> {ratio:.1f}x "
           f"(save {save_seconds * 1000:.1f} ms, {save_stats['bytes']} bytes)")
-    _record_bench("snapshot_load_vs_turtle_parse", {
+    record_bench("BENCH_snapshot.json", "snapshot_load_vs_turtle_parse", {
         "triples": len(graph),
         "terms": save_stats["terms"],
         "snapshot_bytes": save_stats["bytes"],

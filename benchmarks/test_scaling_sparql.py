@@ -15,12 +15,10 @@ its measurements to ``BENCH_sparql.json`` (CI uploads it as an artifact).
 
 from __future__ import annotations
 
-import json
-import os
 
 import pytest
 
-from conftest import best_of, scaled
+from conftest import best_of, record_bench, scaled
 
 from repro.core.engine import ExplanationEngine
 from repro.core.queries import (
@@ -42,21 +40,6 @@ def _scenario_for_scale(extra_recipes: int):
     question = WhyQuestion(text="Why should I eat Cauliflower Potato Curry?",
                            recipe="Cauliflower Potato Curry")
     return engine.build_scenario(question, paper_user(), paper_context())
-
-
-def _record_bench(key: str, payload: dict) -> None:
-    """Merge one gate's measurements into the BENCH_sparql.json summary."""
-    path = os.environ.get("REPRO_BENCH_SPARQL_OUT", "BENCH_sparql.json")
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[key] = payload
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("extra_recipes", [0, 100, 300],
@@ -135,7 +118,7 @@ def test_planner_speedup_on_adversarial_order():
     speedup = naive_best / planned_best
     print(f"\nadversarial contextual over {len(graph)} triples: "
           f"naive {naive_best:.4f}s, planned {planned_best:.4f}s -> {speedup:.1f}x")
-    _record_bench("adversarial_contextual", {
+    record_bench("BENCH_sparql.json", "adversarial_contextual", {
         "triples": len(graph),
         "rows": len(planned_rows),
         "naive_seconds": naive_best,
@@ -194,7 +177,7 @@ def test_planner_no_regression_on_paper_listings(name, template, question,
     ratio = planned_best / naive_best
     print(f"\n{name}: naive {naive_best:.4f}s, planned {planned_best:.4f}s "
           f"-> ratio {ratio:.2f}")
-    _record_bench(name, {
+    record_bench("BENCH_sparql.json", name, {
         "triples": len(graph),
         "rows": len(planned_rows),
         "naive_seconds": naive_best,

@@ -123,32 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cold-start from a snapshot file (see 'repro "
                             "snapshot save') instead of rebuilding the "
                             "ontology + knowledge graph from source")
-    serve.add_argument("--reasoner-workers", type=int, default=1,
-                       help="process-pool size for bulk scenario warm-up in "
-                            "--port mode: warm requests grouped per shard "
-                            "are closed in one pool pass (default: 1, "
-                            "serial)")
 
-    close = subparsers.add_parser(
+    subparsers.add_parser(
         "close",
         help="materialise the knowledge-graph closure and print its stats",
         description="Runs the OWL reasoner to a fixed point over the "
                     "combined ontology + knowledge graph and prints the "
-                    "reasoning report. With --workers > 1 the fixpoint "
-                    "rounds are partitioned across a process pool "
-                    "(Reasoner.run_parallel); the result is bit-identical "
-                    "to the single-core run.",
+                    "reasoning report.",
     )
-    close.add_argument("--workers", type=int, default=1,
-                       help="reasoner process-pool size (default: 1 = the "
-                            "single-core differential oracle)")
-    close.add_argument("--threshold", type=int, default=None, metavar="TRIPLES",
-                       help="minimum per-round delta size before a round is "
-                            "partitioned across the pool; smaller rounds run "
-                            "serially on the coordinator (default: 512)")
-    close.add_argument("--stats", action="store_true",
-                       help="also print the process-wide parallel-reasoner "
-                            "counters")
 
     snapshot = subparsers.add_parser(
         "snapshot",
@@ -324,29 +306,20 @@ def _cmd_snapshot(engine: Optional[ExplanationEngine], args: argparse.Namespace)
 
 
 def _cmd_close(engine: ExplanationEngine, args: argparse.Namespace) -> int:
-    """Materialise the base KG closure, optionally across a process pool."""
-    from .owl import Reasoner, parallel_stats
+    """Materialise the base KG closure and print the reasoning report."""
+    from .owl import Reasoner
 
     base = engine.builder._base
     reasoner = Reasoner(base.copy())
-    if args.workers > 1:
-        closure = reasoner.run_parallel(workers=args.workers,
-                                        threshold=args.threshold)
-    else:
-        closure = reasoner.run()
+    closure = reasoner.run()
     report = reasoner.report
     print(f"closure: {len(closure)} triples "
           f"({report.input_triples} asserted, "
           f"{report.inferred_triples} inferred)")
     print(f"iterations: {report.iterations}  "
-          f"elapsed: {report.elapsed_seconds:.3f}s  "
-          f"workers: {args.workers}")
+          f"elapsed: {report.elapsed_seconds:.3f}s")
     for rule in sorted(report.rule_firings):
         print(f"  {rule}: {report.rule_firings[rule]}")
-    if args.stats:
-        print()
-        for key, value in parallel_stats().items():
-            print(f"{key}: {value}")
     return 0
 
 
@@ -382,7 +355,6 @@ def _serve_http(engine: Optional[ExplanationEngine], args: argparse.Namespace) -
         default_persona=args.persona,
         request_timeout=args.request_timeout,
         drain_timeout=args.drain_timeout,
-        reasoner_workers=args.reasoner_workers,
     )
     if args.snapshot is not None:
         # Zero-warm-up cold start: shards rebuild the graph family from

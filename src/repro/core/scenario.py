@@ -218,9 +218,8 @@ class ScenarioBuilder:
     ) -> Tuple[Graph, IRI, IRI, IRI, IRI, Dict[str, IRI]]:
         """Assemble the asserted scenario graph (no reasoning).
 
-        Shared by :meth:`build` and :meth:`build_many`: returns the graph
-        plus the minted IRIs and question parameters the caller needs to
-        construct the :class:`Scenario`.
+        Returns the graph plus the minted IRIs and question parameters
+        :meth:`build` needs to construct the :class:`Scenario`.
         """
         graph = self._base.copy()
         user_iri = self.user_iri(user)
@@ -235,68 +234,6 @@ class ScenarioBuilder:
             self._assert_recommendation(graph, recommendation, system_iri, question_iri)
         return graph, user_iri, system_iri, ecosystem_iri, question_iri, parameters
 
-    def build_many(
-        self,
-        requests: Sequence[Tuple],
-        workers: int = 1,
-        run_reasoner: bool = True,
-    ) -> List[Scenario]:
-        """Build many scenarios in one pass, pooling the closures.
-
-        ``requests`` holds ``(question, user, context)`` or ``(question,
-        user, context, recommendation)`` tuples.  All scenario graphs are
-        assembled up front, then closed together through the cache's
-        :meth:`~repro.owl.closure.MaterializationCache.materialise_many`
-        — with ``workers > 1`` the misses are reasoned in a process pool
-        (see :mod:`repro.owl.parallel`), which is how fleet warm-up closes
-        every seeded tenant's scenario in one pool pass.  Results are
-        identical to calling :meth:`build` per request, including the
-        per-scenario fact/foil annotation and the cache entries left
-        behind.
-        """
-        assembled = []
-        for request in requests:
-            question, user, context = request[0], request[1], request[2]
-            recommendation = request[3] if len(request) > 3 else None
-            assembled.append(
-                (question, user, context, recommendation)
-                + self._assemble(question, user, context, recommendation))
-        if run_reasoner:
-            graphs = [entry[4] for entry in assembled]
-            posts = [
-                (lambda closure, iri=entry[7]:
-                 annotate_facts_and_foils(closure, iri))
-                for entry in assembled
-            ]
-            cache = self.closure_cache
-            if cache is None:
-                # No-cache builders still batch through a transient cache:
-                # the closures (and annotations) are identical, the entries
-                # are simply discarded with it.
-                cache = MaterializationCache(max_size=max(1, len(graphs)))
-            closures = cache.materialise_many(
-                graphs, reasoner_factory=self._reasoner, workers=workers,
-                post_process=posts)
-        else:
-            closures = [entry[4] for entry in assembled]
-        scenarios: List[Scenario] = []
-        for entry, inferred in zip(assembled, closures):
-            question, user, context, recommendation, graph, user_iri, \
-                system_iri, ecosystem_iri, question_iri, parameters = entry
-            scenarios.append(Scenario(
-                question=question,
-                question_iri=question_iri,
-                user_iri=user_iri,
-                system_iri=system_iri,
-                ecosystem_iri=ecosystem_iri,
-                asserted=graph,
-                inferred=inferred,
-                user=user,
-                context=context,
-                recommendation=recommendation,
-                parameter_iris=parameters,
-            ))
-        return scenarios
 
     # ------------------------------------------------------------------
     # Incremental mutation

@@ -24,12 +24,6 @@ from .expressions import (
     parse_class_expression,
 )
 from .hierarchy import ClassHierarchy, PropertyHierarchy, render_tree
-from .parallel import (
-    ParallelStats,
-    bulk_materialise,
-    parallel_stats,
-    reset_parallel_stats,
-)
 from .reasoner import InconsistentOntologyError, Reasoner, ReasoningReport
 from . import vocabulary
 
@@ -47,19 +41,15 @@ __all__ = [
     "MinCardinality",
     "NamedClass",
     "OneOf",
-    "ParallelStats",
     "PropertyHierarchy",
     "Reasoner",
     "ReasoningReport",
     "SomeValuesFrom",
     "SubClassAxiom",
     "UnionOf",
-    "bulk_materialise",
     "closure_cache",
     "materialize",
-    "parallel_stats",
     "parse_class_expression",
     "render_tree",
-    "reset_parallel_stats",
     "vocabulary",
 ]

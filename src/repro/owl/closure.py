@@ -46,7 +46,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..rdf.graph import Graph, Triple
 from .reasoner import Reasoner
@@ -95,8 +95,6 @@ class MaterializationCache:
         self.misses = 0
         self.extensions = 0
         self.single_flight_waits = 0
-        self.bulk_hits = 0
-        self.bulk_builds = 0
 
     def materialize(
         self,
@@ -153,97 +151,6 @@ class MaterializationCache:
             with self._lock:
                 self._in_flight.pop(key, None)
             event.set()
-
-    def materialise_many(
-        self,
-        graphs: Sequence[Graph],
-        reasoner_factory: Optional[Callable[[Graph], Reasoner]] = None,
-        workers: int = 1,
-        post_process: Optional[Sequence[Optional[Callable[[Graph], object]]]] = None,
-        copy: bool = False,
-    ) -> "list[Graph]":
-        """Materialise many graphs in one pass, pooling the misses.
-
-        The bulk mirror of :meth:`materialize`: every graph is looked up
-        by fingerprint (hits count in ``bulk_hits``), and the misses are
-        closed together through :func:`repro.owl.parallel.bulk_materialise`
-        — with ``workers > 1`` each miss is reasoned in a ``fork`` pool
-        child and the coordinator adopts the returned closure storage
-        (``bulk_builds`` counts them).  ``post_process`` is per-graph,
-        aligned with ``graphs`` (scenario annotation passes differ per
-        scenario); each closure is post-processed and published before the
-        next pool result is consumed, so concurrent readers see the same
-        guarantees as :meth:`materialize`.
-
-        Single-flight claims are shared with :meth:`materialize`: a pool
-        build and a concurrent per-request build of the same key never
-        duplicate work — whichever claims first builds, and each bulk key
-        is released as soon as its entry is published (not at the end of
-        the whole pass).  A key another thread is already building is
-        waited for after the pool pass, with the usual claim-on-wake
-        fallback.  Returns the closures aligned with ``graphs``.
-        """
-        keys = [graph.fingerprint() for graph in graphs]
-        posts = list(post_process) if post_process is not None else [None] * len(graphs)
-        if len(posts) != len(graphs):
-            raise ValueError("post_process must align with graphs")
-        results: "list[Optional[Graph]]" = [None] * len(graphs)
-        claimed: Dict[Fingerprint, threading.Event] = {}
-        claimed_indices: "list[int]" = []
-        waiting: "list[int]" = []
-        with self._lock:
-            for index, key in enumerate(keys):
-                cached = self._entries.get(key)
-                if cached is not None:
-                    self.bulk_hits += 1
-                    self._entries.move_to_end(key)
-                    results[index] = cached.closure
-                    continue
-                if key in claimed:
-                    # Duplicate input fingerprint: the first occurrence's
-                    # build covers it.
-                    waiting.append(index)
-                    continue
-                event = self._in_flight.get(key)
-                if event is None:
-                    claimed[key] = self._in_flight[key] = threading.Event()
-                    claimed_indices.append(index)
-                else:
-                    self.single_flight_waits += 1
-                    waiting.append(index)
-        try:
-            if claimed_indices:
-                from .parallel import bulk_materialise
-
-                build_graphs = [graphs[i] for i in claimed_indices]
-                for position, closure in bulk_materialise(
-                        build_graphs, reasoner_factory=reasoner_factory,
-                        workers=workers):
-                    index = claimed_indices[position]
-                    key = keys[index]
-                    post_added = self._post_process(closure, posts[index])
-                    with self._lock:
-                        self.bulk_builds += 1
-                        self._publish(key, _CacheEntry(
-                            closure, post_added, graphs[index].copy()))
-                        event = self._in_flight.pop(key, None)
-                    if event is not None:
-                        event.set()
-                    results[index] = closure
-        finally:
-            # A failed pass must not strand concurrent waiters.
-            with self._lock:
-                for key, event in claimed.items():
-                    if self._in_flight.get(key) is event:
-                        del self._in_flight[key]
-                        event.set()
-        for index in waiting:
-            results[index] = self.materialize(
-                graphs[index], reasoner_factory=reasoner_factory,
-                post_process=posts[index])
-        if copy:
-            return [closure.copy() for closure in results]  # type: ignore[union-attr]
-        return results  # type: ignore[return-value]
 
     def extend(
         self,
@@ -358,12 +265,9 @@ class MaterializationCache:
             self.misses = 0
             self.extensions = 0
             self.single_flight_waits = 0
-            self.bulk_hits = 0
-            self.bulk_builds = 0
 
     def stats(self) -> Dict[str, int]:
-        """Current size / hit / miss / extension / single-flight / bulk
-        counters."""
+        """Current size / hit / miss / extension / single-flight counters."""
         with self._lock:
             return {
                 "size": len(self._entries),
@@ -371,8 +275,6 @@ class MaterializationCache:
                 "misses": self.misses,
                 "extensions": self.extensions,
                 "single_flight_waits": self.single_flight_waits,
-                "bulk_hits": self.bulk_hits,
-                "bulk_builds": self.bulk_builds,
             }
 
     def __len__(self) -> int:

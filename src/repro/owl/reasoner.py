@@ -31,15 +31,11 @@ Evaluation strategy
 initial round over the whole graph, each rule family consumes only the
 triples derived in the previous round and joins them against the full graph
 through the SPO/POS/OSP indexes, instead of rescanning every triple per
-iteration.  The property- and type-centric rule families run entirely in
-the **encoded domain**: the graph's dictionary-encoded ``(int, int, int)``
-triples are joined through integer-keyed indexes, with the axiom tables
-translated into the same ID space once per run
-(:class:`_EncodedAxioms`), and terms are only decoded where the
-restriction machinery genuinely needs them (class-expression matching and
-consistency checking).  The same rules over term objects survive as
-:meth:`Reasoner.run_term` — the pre-encoding engine, kept as a comparison
-baseline and a second oracle — and the historical fixed-point loop as
+iteration.  Every rule family runs in the **encoded domain**: the graph's
+dictionary-encoded ``(int, int, int)`` triples are joined through
+integer-keyed indexes, with the axiom tables and class expressions
+translated into the same ID space once per run (:class:`_EncodedAxioms`).
+The historical fixed-point loop over term objects survives as
 :meth:`Reasoner.run_naive`, the reference oracle the differential test
 suite compares against.
 
@@ -167,7 +163,7 @@ def _expression_levels(expression: ClassExpression) -> int:
 
     This bounds the reverse-reachability expansion needed to find every
     individual whose membership in the expression may have changed after a
-    delta (see :meth:`Reasoner._restriction_candidates`).
+    delta (see :meth:`Reasoner._restriction_candidates_ids`).
     """
     if isinstance(expression, (SomeValuesFrom, AllValuesFrom)):
         return 1 + _expression_levels(expression.filler)
@@ -279,10 +275,10 @@ class Reasoner:
         self.max_iterations = max_iterations
         self.check_consistency = check_consistency
         self.report = ReasoningReport()
-        # Live type index shared by the rule families during a fixpoint run;
-        # None outside of one (the naive oracle path rebuilds its own).  The
-        # encoded engine keys it by term IDs, the term engine by terms.
-        self._active_type_index: Optional[Dict[object, Set]] = None
+        # Live ``individual ID -> class IDs`` index shared by the rule
+        # families during an encoded fixpoint run; None outside of one (the
+        # naive oracle rebuilds its own term-keyed index every iteration).
+        self._active_type_index: Optional[Dict[int, Set[int]]] = None
         self._prepare_axiom_state()
 
     def _prepare_axiom_state(self) -> None:
@@ -359,45 +355,6 @@ class Reasoner:
         self._materialise_schema(working)
         self.report.iterations = self._fixpoint_encoded(
             working, list(working._triples), initial=True)
-        self.report.inferred_triples = len(working) - self.report.input_triples
-        self.report.elapsed_seconds = time.perf_counter() - start
-
-        if self.check_consistency:
-            self._check_consistency(working)
-        return working
-
-    def run_parallel(self, workers: Optional[int] = None,
-                     threshold: Optional[int] = None) -> Graph:
-        """:meth:`run`, with each round's rule evaluation fanned out over a
-        process pool (see :mod:`repro.owl.parallel`).
-
-        The fixed point, the rule-firing counts in :attr:`report` and the
-        resulting graph (fingerprint, pred-counters, indexes) are identical
-        to :meth:`run` — workers only *propose* candidate triples; every
-        fold happens on the coordinator through the normal journal-aware
-        add path.  Falls back to plain :meth:`run` automatically when the
-        pool cannot pay for itself (``workers <= 1``, a graph smaller than
-        the cost-model threshold, no ``fork`` start method) or when the
-        schema has non-monotone classification axioms, mirroring
-        :attr:`supports_incremental_extension`.
-        """
-        from .parallel import run_parallel as _run_parallel
-        return _run_parallel(self, workers=workers, threshold=threshold)
-
-    def run_term(self) -> Graph:
-        """The term-object semi-naive engine (the pre-encoding ``run()``).
-
-        Identical rules and round structure to :meth:`run`, but every join
-        hashes and compares full term objects through the graph's
-        term-level API.  Kept as the baseline the encoded engine's speedup
-        gate measures against, and as a second differential oracle.
-        """
-        start = time.perf_counter()
-        working = self.base_graph.copy()
-        self.report = ReasoningReport(input_triples=len(self.base_graph))
-
-        self._materialise_schema(working)
-        self.report.iterations = self._fixpoint(working, list(working), initial=True)
         self.report.inferred_triples = len(working) - self.report.input_triples
         self.report.elapsed_seconds = time.perf_counter() - start
 
@@ -524,51 +481,21 @@ class Reasoner:
         return working
 
     # ------------------------------------------------------------------
-    # Semi-naive fixpoint
+    # Encoded semi-naive fixpoint
     # ------------------------------------------------------------------
-    def _fixpoint(self, graph: Graph, delta: Sequence[Triple], initial: bool = False) -> int:
-        """Drive rule rounds until no rule derives a new triple.
+    def _fixpoint_encoded(self, graph: Graph, delta: Sequence[EncodedTriple],
+                          initial: bool = False) -> int:
+        """Drive rule rounds over encoded ID triples until none derives a
+        new triple.
 
         Each round hands the previous round's additions to every rule family;
         triples a family adds are seen by the other families next round (the
         round granularity only affects how firings are batched, not the fixed
         point).  ``initial`` marks a round whose delta is the whole graph, so
         restriction classification can skip candidate discovery and check
-        every individual, exactly like the naive first iteration.
-        """
-        iteration = 0
-        ancestor_cache: Dict[IRI, Set[IRI]] = {}
-        # The shared type index is built lazily — only once restriction rules
-        # actually have candidates — and _add_all keeps it fresh as rules
-        # fire, so restriction rounds never rescan the graph and deltas that
-        # touch no restriction machinery skip the build entirely.
-        self._active_type_index = None
-        try:
-            while delta and iteration < self.max_iterations:
-                iteration += 1
-                out: List[Triple] = []
-                self._apply_property_rules(graph, delta, out)
-                self._apply_type_rules(graph, delta, out, ancestor_cache)
-                self._apply_restriction_rules(
-                    graph, delta, out, check_everything=initial and iteration == 1)
-                delta = out
-        finally:
-            self._active_type_index = None
-        return iteration
-
-    # ------------------------------------------------------------------
-    # Encoded semi-naive fixpoint (the production engine)
-    # ------------------------------------------------------------------
-    def _fixpoint_encoded(self, graph: Graph, delta: Sequence[EncodedTriple],
-                          initial: bool = False) -> int:
-        """:meth:`_fixpoint`, but the deltas are encoded ID triples.
-
-        Round structure, rule order and the resulting fixed point are
-        identical to the term engine; only the representation differs, so
-        the differential suites hold for both.  Restriction classification
-        still works on terms (class expressions match against the
-        term-level API); its inputs and outputs are decoded/encoded at
-        that boundary only.
+        every individual, exactly like the naive first iteration.  The
+        shared type index is built lazily, only once restriction rules have
+        candidates, and :meth:`_add_all_encoded` keeps it fresh from there.
         """
         enc = self._encoded_axioms(graph)
         iteration = 0
@@ -593,12 +520,8 @@ class Reasoner:
         """Property-family candidate triples derived from ``delta``.
 
         Pure candidate generation: every join reads the *pre-round* graph
-        state and nothing is added here.  The serial fold and the parallel
-        partition workers share this exact code path, which is what makes
-        ``run_parallel`` firing-counts equal to ``run()`` by construction —
-        per family, the set of candidates is a function of (delta, graph
-        state at round start) only, so concatenating partition results
-        reproduces the serial candidate set.
+        state and nothing is added here, so each family's candidates are a
+        function of (delta, graph state at round start) only.
         """
         spo = graph._spo
         pos = graph._pos
@@ -705,11 +628,9 @@ class Reasoner:
         """Domain/range and subclass-propagation candidates from ``delta``.
 
         Like :meth:`_property_candidates_encoded` this is pure candidate
-        generation shared by the serial fold and the pool workers.  The
-        only graph state it consults is the subClassOf fragment, which is
-        static for the whole fixpoint (no rule derives ``subClassOf``), so
-        partition workers evaluating against their round-start snapshot see
-        exactly what the serial engine sees.
+        generation.  The only graph state it consults is the subClassOf
+        fragment, which is static for the whole fixpoint (no rule derives
+        ``subClassOf``).
         """
         spo = graph._spo
         kinds = enc.dictionary.kinds
@@ -781,7 +702,9 @@ class Reasoner:
         return index
 
     def _individuals_ids(self, graph: Graph, enc: _EncodedAxioms) -> Set[int]:
-        """The encoded mirror of :meth:`_individuals`."""
+        """Every node the restriction rules may classify: subjects, and
+        non-literal objects of non-type triples, outside the schema-only
+        predicates (the ID-space twin of the naive :meth:`_individuals`)."""
         individuals: Set[int] = set()
         kinds = enc.dictionary.kinds
         rdf_type = enc.rdf_type
@@ -797,8 +720,16 @@ class Reasoner:
     def _restriction_candidates_ids(self, graph: Graph,
                                     delta: Sequence[EncodedTriple],
                                     enc: _EncodedAxioms) -> Set[int]:
-        """The encoded mirror of :meth:`_restriction_candidates`: the delta's
-        touched nodes expanded backwards through the restriction properties."""
+        """Individuals whose class-expression membership may have changed.
+
+        Every expression's verdict for an individual depends only on triples
+        of nodes within :func:`_expression_levels` property hops of it, so
+        the touched nodes of the delta, expanded that many hops backwards
+        through the restriction properties, form a sound candidate set.
+        Candidate collection mirrors :meth:`_individuals_ids` so no node
+        that the naive pass would skip (e.g. a class appearing only as a
+        type object) can be classified here.
+        """
         kinds = enc.dictionary.kinds
         rdf_type = enc.rdf_type
         schema_only = enc.schema_only_preds
@@ -870,14 +801,8 @@ class Reasoner:
             self, graph: Graph, candidates: Iterable[int],
             enc: _EncodedAxioms,
             type_index: Dict[int, Set[int]]) -> List[EncodedTriple]:
-        """Named-class memberships the compiled matchers grant ``candidates``.
-
-        Pure candidate generation over a fixed (graph, type_index) state —
-        the partitionable half of restriction classification.  Splitting
-        ``candidates`` by individual and concatenating the results is
-        equivalent to one serial pass because each individual is matched
-        independently.
-        """
+        """Named-class memberships the compiled matchers grant ``candidates``
+        (pure candidate generation over a fixed (graph, type_index) state)."""
         empty: Set[int] = set()
         additions: List[EncodedTriple] = []
         rdf_type = enc.rdf_type
@@ -953,110 +878,7 @@ class Reasoner:
         self.report.record("schema-closure", added)
 
     # ------------------------------------------------------------------
-    # Property-centric rules (delta-driven)
-    # ------------------------------------------------------------------
-    def _apply_property_rules(self, graph: Graph, delta: Sequence[Triple],
-                              out: List[Triple]) -> None:
-        """Fire the property rules for the delta, joining it against ``graph``."""
-        axioms = self.axioms
-        sub_adds: List[Triple] = []
-        inv_adds: List[Triple] = []
-        sym_adds: List[Triple] = []
-        trans_adds: List[Triple] = []
-        chain_adds: List[Triple] = []
-
-        for s, p, o in delta:
-            # Sub-property propagation: (x p y), p ⊑ q  =>  (x q y)
-            supers = self._superproperties.get(p)
-            if supers:
-                for sup in supers:
-                    sub_adds.append((s, sup, o))
-            if isinstance(o, Literal):
-                continue
-            # Inverse properties: (x p y), p inverseOf q  =>  (y q x)
-            for inverse in axioms.inverse_of.get(p, ()):
-                inv_adds.append((o, inverse, s))
-            # Symmetric properties.
-            if p in axioms.symmetric:
-                sym_adds.append((o, p, s))
-            # Transitive properties: join the new edge with the closure on
-            # both sides; multi-hop paths cascade through later rounds.
-            if p in axioms.transitive:
-                for nxt in graph.objects(o, p):
-                    if not isinstance(nxt, Literal):
-                        trans_adds.append((s, p, nxt))
-                for prev in graph.subjects(p, s):
-                    trans_adds.append((prev, p, o))
-            # Property chains: p1 o p2 ⊑ q — plug the new edge into every
-            # position it can occupy and walk the rest of the chain in the graph.
-            for head, chain, position in self._chain_steps.get(p, ()):
-                for left, right in self._chain_matches(graph, chain, position, s, o):
-                    chain_adds.append((left, head, right))
-
-        self._add_all(graph, sub_adds, "subPropertyOf", out)
-        self._add_all(graph, inv_adds, "inverseOf", out)
-        self._add_all(graph, sym_adds, "symmetric", out)
-        self._add_all(graph, trans_adds, "transitive", out)
-        self._add_all(graph, chain_adds, "propertyChain", out)
-
-    def _chain_matches(self, graph: Graph, chain: List[IRI], position: int,
-                       s, o) -> List[Tuple[object, object]]:
-        """(start, end) pairs completed by the edge ``(s, chain[position], o)``."""
-        lefts: Set[object] = {s}
-        for step in reversed(chain[:position]):
-            previous: Set[object] = set()
-            for node in lefts:
-                previous.update(graph.subjects(step, node))
-            lefts = previous
-            if not lefts:
-                return []
-        rights: Set[object] = {o}
-        for step in chain[position + 1:]:
-            following: Set[object] = set()
-            for node in rights:
-                for value in graph.objects(node, step):
-                    if not isinstance(value, Literal):
-                        following.add(value)
-            rights = following
-            if not rights:
-                return []
-        return [(left, right) for left in lefts for right in rights]
-
-    # ------------------------------------------------------------------
-    # Type-centric rules (delta-driven)
-    # ------------------------------------------------------------------
-    def _apply_type_rules(self, graph: Graph, delta: Sequence[Triple],
-                          out: List[Triple],
-                          ancestor_cache: Dict[IRI, Set[IRI]]) -> None:
-        axioms = self.axioms
-        dr_adds: List[Triple] = []
-        type_adds: List[Triple] = []
-        for s, p, o in delta:
-            # Domain / range typing.
-            for domain in axioms.domains.get(p, ()):
-                dr_adds.append((s, RDF_TYPE, domain))
-            if not isinstance(o, Literal):
-                for range_ in axioms.ranges.get(p, ()):
-                    dr_adds.append((o, RDF_TYPE, range_))
-            # Type propagation along the class hierarchy (static per fixpoint:
-            # no rule derives subClassOf, so the ancestor cache stays valid).
-            if p == RDF_TYPE and isinstance(o, IRI):
-                ancestors = ancestor_cache.get(o)
-                if ancestors is None:
-                    ancestors = {
-                        ancestor
-                        for ancestor in graph.objects(o, RDFS_SUBCLASSOF)
-                        if isinstance(ancestor, IRI)
-                    }
-                    ancestors |= axioms.superclass_closure(o) - {o}
-                    ancestor_cache[o] = ancestors
-                for ancestor in ancestors:
-                    type_adds.append((s, RDF_TYPE, ancestor))
-        self._add_all(graph, dr_adds, "domain-range", out)
-        self._add_all(graph, type_adds, "subClassOf-types", out)
-
-    # ------------------------------------------------------------------
-    # Restriction / expression classification (delta-driven)
+    # Term-level helpers (run_naive and the consistency check)
     # ------------------------------------------------------------------
     def _type_index(self, graph: Graph) -> Dict[object, Set[IRI]]:
         index: Dict[object, Set[IRI]] = {}
@@ -1077,84 +899,6 @@ class Reasoner:
             if isinstance(o, (IRI, BNode)):
                 individuals.add(o)
         return individuals
-
-    def _restriction_candidates(self, graph: Graph, delta: Sequence[Triple]) -> Set[object]:
-        """Individuals whose class-expression membership may have changed.
-
-        Every expression's verdict for an individual depends only on triples
-        of nodes within :func:`_expression_levels` property hops of it, so
-        the touched nodes of the delta, expanded that many hops backwards
-        through the restriction properties, form a sound candidate set.
-        Candidate collection mirrors :meth:`_individuals` so no node that the
-        naive pass would skip (e.g. a class appearing only as a type object)
-        can be classified here.
-        """
-        nodes: Set[object] = set()
-        for s, p, o in delta:
-            if p in _SCHEMA_ONLY_PREDICATES:
-                continue
-            if isinstance(s, (IRI, BNode)):
-                nodes.add(s)
-            if p != RDF_TYPE and isinstance(o, (IRI, BNode)):
-                nodes.add(o)
-        properties = self._restriction_properties
-        frontier = set(nodes)
-        for _ in range(self._restriction_depth):
-            if not frontier:
-                break
-            reached: Set[object] = set()
-            for node in frontier:
-                for subject, predicate in graph.subject_predicates(node):
-                    if predicate in properties and subject not in nodes:
-                        nodes.add(subject)
-                        reached.add(subject)
-            frontier = reached
-        return nodes
-
-    def _apply_restriction_rules(self, graph: Graph, delta: Sequence[Triple],
-                                 out: List[Triple],
-                                 check_everything: bool = False) -> None:
-        if not self._has_restrictions:
-            return
-        if check_everything:
-            candidates = self._individuals(graph)
-        else:
-            candidates = self._restriction_candidates(graph, delta)
-            if not candidates:
-                return
-        type_index = self._active_type_index
-        if type_index is None:
-            # First round with candidates: build once (additions since the
-            # fixpoint started are already in the graph, so they're covered);
-            # _add_all maintains it from here on.
-            type_index = self._active_type_index = self._type_index(graph)
-
-        # (a) classification: expression ≡/⊒ named class — if an individual
-        # satisfies the expression it gains the named type.
-        additions: List[Triple] = []
-        for axiom in self.axioms.equivalences:
-            for individual in candidates:
-                if axiom.named in type_index.get(individual, set()):
-                    continue
-                if axiom.expression.matches(graph, individual, type_index):
-                    additions.append((individual, RDF_TYPE, axiom.named))
-        for expression, named in self.axioms.complex_subclasses:
-            for individual in candidates:
-                if named in type_index.get(individual, set()):
-                    continue
-                if expression.matches(graph, individual, type_index):
-                    additions.append((individual, RDF_TYPE, named))
-        self._add_all(graph, additions, "classification", out)
-
-        # (b) consequence direction: named class ⊑ expression.  _add_all has
-        # already folded the (a) classifications into the shared type index.
-        additions = []
-        for axiom in self.axioms.complex_superclasses:
-            for member in candidates:
-                if axiom.sub in type_index.get(member, ()):
-                    additions.extend(self._expression_consequences(
-                        graph, member, axiom.super_expression, type_index))
-        self._add_all(graph, additions, "restriction-consequences", out)
 
     def _expression_consequences(
         self,
@@ -1348,24 +1092,16 @@ class Reasoner:
                 raise InconsistentOntologyError(f"{individual} is typed owl:Nothing")
 
     # ------------------------------------------------------------------
-    def _add_all(self, graph: Graph, triples: Iterable[Triple], rule: str,
-                 out: Optional[List[Triple]] = None) -> None:
-        """Add ``triples``, counting effective firings; ``out`` collects the
-        genuinely new triples as the next round's delta."""
+    def _add_all(self, graph: Graph, triples: Iterable[Triple], rule: str) -> None:
+        """Add ``triples``, counting effective firings."""
         added = 0
-        type_index = self._active_type_index
         for triple in triples:
             s, p, o = triple
-            if s == o and p in (OWL_SAME_AS,):
+            if s == o and p == OWL_SAME_AS:
                 continue
             before = len(graph)
             graph.add(triple)
-            if len(graph) > before:
-                added += 1
-                if out is not None:
-                    out.append(triple)
-                if type_index is not None and p == RDF_TYPE and isinstance(o, IRI):
-                    type_index.setdefault(s, set()).add(o)
+            added += len(graph) - before
         self.report.record(rule, added)
 
     # ------------------------------------------------------------------

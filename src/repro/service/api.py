@@ -151,10 +151,6 @@ class ServiceStats:
     closure_cache: Dict[str, int] = field(default_factory=dict)
     prepared_query_cache: Dict[str, int] = field(default_factory=dict)
     query_planner: Dict[str, int] = field(default_factory=dict)
-    #: Process-wide parallel-reasoner counters (see
-    #: :func:`repro.owl.parallel_stats`): pooled vs serial closures and
-    #: rounds, retries, fallbacks and the worst observed partition skew.
-    parallel_reasoner: Dict[str, float] = field(default_factory=dict)
     #: Storage-engine counters for the engine's base graph family: interned
     #: terms by kind plus the encoded triple count (empty until the lazy
     #: engine is built).
@@ -211,12 +207,6 @@ class ServiceStats:
             f"{self.term_store.get('bnodes', 0)} bnodes, "
             f"{self.term_store.get('literals', 0)} literals) / "
             f"{self.term_store.get('encoded_triples', 0)} encoded base triples",
-            f"parallel reasoner:      {int(self.parallel_reasoner.get('parallel_closures', 0))} pooled closures / "
-            f"{int(self.parallel_reasoner.get('bulk_pool_closures', 0))} bulk closures "
-            f"({int(self.parallel_reasoner.get('pool_rounds', 0))} pooled rounds, "
-            f"{int(self.parallel_reasoner.get('pool_retries', 0))} retries, "
-            f"{int(self.parallel_reasoner.get('pool_fallbacks', 0))} fallbacks, "
-            f"skew {self.parallel_reasoner.get('partition_skew', 0.0):.2f}, process-wide)",
             f"active sessions:        {self.active_sessions} "
             f"({self.session_rebuilds} rebuilt after eviction)",
         ]

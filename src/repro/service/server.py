@@ -101,6 +101,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up, and the
+            # unread body leaves the connection unusable for keep-alive.
+            self.close_connection = True
+            raise ValueError("Content-Length must not be negative")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -180,6 +185,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     @staticmethod
+    def _string_from(payload: Dict[str, Any], name: str) -> Optional[str]:
+        """``payload[name]`` if it is a string, None if absent or null."""
+        value = payload.get(name)
+        if value is not None and not isinstance(value, str):
+            raise RequestError(f"'{name}' must be a string, got {value!r}")
+        return value
+
+    @staticmethod
     def _timeout_from(payload: Dict[str, Any]) -> Optional[float]:
         """The request's own deadline (seconds), or None for the default."""
         raw = payload.get("timeout")
@@ -189,45 +202,46 @@ class _Handler(BaseHTTPRequestHandler):
             timeout = float(raw)
         except (TypeError, ValueError):
             raise RequestError(f"'timeout' must be a number, got {raw!r}") from None
-        if timeout <= 0:
-            raise RequestError("'timeout' must be positive")
+        if not math.isfinite(timeout) or timeout <= 0:
+            raise RequestError(f"'timeout' must be a positive finite number, got {raw!r}")
         return timeout
 
     def _handle_ask(self, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        question = payload.get("question")
+        question = self._string_from(payload, "question")
         if not question:
             return 400, {"error": "bad_request", "message": "missing 'question'"}
         response = self.service.ask(
             question,
-            session_id=payload.get("session_id"),
-            persona=payload.get("persona"),
-            explanation_type=payload.get("explanation_type"),
+            session_id=self._string_from(payload, "session_id"),
+            persona=self._string_from(payload, "persona"),
+            explanation_type=self._string_from(payload, "explanation_type"),
             timeout=self._timeout_from(payload),
         )
         return 200, response.summary()
 
     def _handle_open_session(self, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        persona = payload.get("persona") or self.service.default_persona
+        persona = self._string_from(payload, "persona") or self.service.default_persona
         session = self.service.open_persona_session(persona)
         return 200, {"session_id": session.session_id, "persona": persona,
                      "user": session.user.identifier}
 
     def _handle_update(self, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        question = payload.get("question")
+        question = self._string_from(payload, "question")
         if not question:
             return 400, {"error": "bad_request", "message": "missing 'question'"}
         additions = {}
         for fieldname in _UPDATE_FIELDS:
             values = payload.get(fieldname)
             if values:
-                if not isinstance(values, (list, tuple)):
+                if not isinstance(values, list) or not all(
+                        isinstance(value, str) for value in values):
                     return 400, {"error": "bad_request",
-                                 "message": f"'{fieldname}' must be a list"}
+                                 "message": f"'{fieldname}' must be a list of strings"}
                 additions[fieldname] = tuple(values)
         updated = self.service.update_scenario(
             question,
-            session_id=payload.get("session_id"),
-            persona=payload.get("persona"),
+            session_id=self._string_from(payload, "session_id"),
+            persona=self._string_from(payload, "persona"),
             timeout=self._timeout_from(payload),
             **additions,
         )

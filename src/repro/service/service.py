@@ -42,7 +42,6 @@ from ..core.questions import Question, parse_question
 from ..errors import RequestError
 from ..core.scenario import Scenario
 from ..foodkg.schema import FoodCatalog
-from ..owl import parallel_stats
 from ..sparql import planner_stats, prepared_cache
 from ..testing import faults
 from ..users.context import SystemContext
@@ -166,40 +165,6 @@ class ExplanationService:
         parsed = question if isinstance(question, Question) else parse_question(question)
         _, hit = self._scenario(parsed, user, context)
         return hit
-
-    def prewarm_many(self, specs: Sequence[Tuple], workers: int = 1) -> int:
-        """Bulk :meth:`prewarm_scenario`: close every missing scenario in
-        one reasoner pass.
-
-        ``specs`` is a sequence of ``(question, user, context)`` triples
-        (questions may be strings).  Scenarios already in the LRU are
-        skipped; the rest are assembled and materialised together via
-        :meth:`repro.core.scenario.ScenarioBuilder.build_many`, which with
-        ``workers > 1`` closes them in a single process-pool pass instead
-        of one serial closure per tenant.  Returns the number of scenarios
-        actually built.
-        """
-        parsed = [
-            ((q if isinstance(q, Question) else parse_question(q)), u, c)
-            for (q, u, c) in specs
-        ]
-        with self._scenario_lock:
-            missing = [
-                (q, u, c) for (q, u, c) in parsed
-                if (q, u, c) not in self._scenarios
-            ]
-        if not missing:
-            return 0
-        scenarios = self.engine.builder.build_many(missing, workers=workers)
-        with self._scenario_lock:
-            for (q, u, c), scenario in zip(missing, scenarios):
-                key: ScenarioKey = (q, u, c)
-                if key not in self._scenarios:
-                    self._scenarios[key] = scenario
-                self._scenarios.move_to_end(key)
-            while len(self._scenarios) > self.max_cached_scenarios:
-                self._scenarios.popitem(last=False)
-        return len(missing)
 
     # ------------------------------------------------------------------
     # Sessions
@@ -483,7 +448,6 @@ class ExplanationService:
             closure_cache=closure.stats() if closure is not None else {},
             prepared_query_cache=prepared_cache().stats(),
             query_planner=planner_stats(),
-            parallel_reasoner=parallel_stats(),
             term_store=(self._engine.builder.store_stats()
                         if self._engine is not None else {}),
             active_sessions=len(self.registry),

@@ -751,7 +751,6 @@ class ShardedExplanationService:
         wedge_timeout: Optional[float] = 30.0,
         watchdog_interval: Optional[float] = 0.25,
         fault_seed: int = 0,
-        reasoner_workers: int = 1,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
@@ -821,9 +820,6 @@ class ShardedExplanationService:
         self._session_counter = itertools.count(1)
         self._round_robin = itertools.count()
         self.default_persona = default_persona
-        #: Process-pool size for bulk scenario warm-up (see :meth:`warm`);
-        #: 1 keeps every closure on the caller's thread.
-        self.reasoner_workers = reasoner_workers
         self._froze_gc = False
         if loaded is not None:
             self._seed_closures(loaded)
@@ -942,30 +938,12 @@ class ShardedExplanationService:
         after a cold start pays warm-path cost instead of convoying on
         first-touch scenario builds (see
         :meth:`ExplanationService.prewarm_scenario`).
-
-        With ``reasoner_workers > 1`` the requests are grouped by home
-        shard and each group is closed in one bulk pass
-        (:meth:`ExplanationService.prewarm_many` →
-        :meth:`repro.owl.MaterializationCache.materialise_many`), so a
-        fleet cold-start materialises all seeded tenants' scenarios
-        across a process pool instead of one serial closure at a time.
         """
         for shard in self._shards:
             shard.service.warm()
-        if requests:
-            if self.reasoner_workers > 1:
-                by_shard: Dict[int, List[Tuple]] = {}
-                for question, user, context in requests:
-                    shard = self._shard_by_key(user.identifier)
-                    by_shard.setdefault(shard.index, []).append(
-                        (question, user, context))
-                for index, group in by_shard.items():
-                    self._shards[index].service.prewarm_many(
-                        group, workers=self.reasoner_workers)
-            else:
-                for question, user, context in requests:
-                    shard = self._shard_by_key(user.identifier)
-                    shard.service.prewarm_scenario(question, user, context)
+        for question, user, context in requests or ():
+            shard = self._shard_by_key(user.identifier)
+            shard.service.prewarm_scenario(question, user, context)
         return self
 
     @property

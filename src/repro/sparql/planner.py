@@ -103,13 +103,6 @@ class PlannerStats:
 
     All increments go through the instance lock (``record_compile`` /
     ``flush``), so concurrent query threads never lose an update.
-    *Process-wide* means exactly that: reasoner pool workers
-    (:mod:`repro.owl.parallel`) have their own copy of these counters in
-    their forked address space — whatever they count never appears here.
-    That is by design: workers return everything the coordinator needs
-    (candidate triples, watermarks) in their task results, and the
-    coordinator folds those into its own process's state; no shared-memory
-    counters exist to tear or race across processes.
     """
 
     _FIELDS = (

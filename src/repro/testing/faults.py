@@ -21,17 +21,6 @@ Hook sites currently wired into the stack:
                       request (``ExplanationService.explain``)
 ``snapshot_write``    the snapshot writer, before each chunk of the
                       temp-file write (``storage.snapshot.save_snapshot``)
-``worker_pool``       a reasoner pool worker, before evaluating one
-                      fixpoint partition or bulk closure job
-                      (``owl.parallel._eval_partition`` / ``_bulk_close``).
-                      Fires in the *child* process: the injector must be
-                      active before the pool forks (activate, then call
-                      ``run_parallel``/``bulk_materialise``).  ``error``
-                      and ``crash`` both surface as a failed task on the
-                      coordinator, which retries the partition serially
-                      and, on a broken pool, falls back to the
-                      single-core oracle — differential equality must
-                      survive either way.
 ====================  ====================================================
 
 Actions:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from ..errors import RequestError
+
 __all__ = ["UserProfile"]
 
 _KNOWN_CONDITIONS = {
@@ -42,10 +44,10 @@ class UserProfile:
             raise ValueError("UserProfile requires a non-empty identifier")
         unknown_conditions = set(self.conditions) - _KNOWN_CONDITIONS
         if unknown_conditions:
-            raise ValueError(f"Unknown health conditions: {sorted(unknown_conditions)}")
+            raise RequestError(f"Unknown health conditions: {sorted(unknown_conditions)}")
         unknown_goals = set(self.goals) - _KNOWN_GOALS
         if unknown_goals:
-            raise ValueError(f"Unknown nutritional goals: {sorted(unknown_goals)}")
+            raise RequestError(f"Unknown nutritional goals: {sorted(unknown_goals)}")
         if self.budget is not None and self.budget not in _BUDGET_LEVELS:
             raise ValueError(f"Unknown budget level {self.budget!r}")
 

@@ -136,25 +136,6 @@ def test_semi_naive_equals_naive_with_random_data_noise():
         assert_same_closure(naive, semi, f"noisy seed={seed}")
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_encoded_engine_equals_term_engine_on_random_catalogs(seed):
-    """The ID-space rule engine (run) must match the term-object engine
-    (run_term) triple-for-triple — the two differ only in representation."""
-    rng = random.Random(3000 + seed)
-    graph = build_random_kg(seed, ingredients=rng.randint(4, 10),
-                            recipes=rng.randint(3, 7))
-    graph.addN(_data_delta(rng, graph, rng.randint(0, 8)))
-    term = Reasoner(graph, check_consistency=False).run_term()
-    encoded = Reasoner(graph, check_consistency=False).run()
-    assert_same_closure(term, encoded, f"term-vs-encoded seed={seed}")
-    # Rule firing counts agree too: same rules, same effective additions.
-    term_report = Reasoner(graph, check_consistency=False)
-    term_report.run_term()
-    encoded_report = Reasoner(graph, check_consistency=False)
-    encoded_report.run()
-    assert term_report.report.rule_firings == encoded_report.report.rule_firings
-
-
 # ---------------------------------------------------------------------------
 # Incremental extension vs full re-run
 # ---------------------------------------------------------------------------

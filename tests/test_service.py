@@ -108,8 +108,7 @@ class TestMaterializationCache:
         second = cache.materialize(graph)
         assert first is second
         assert cache.stats() == {"size": 1, "hits": 1, "misses": 1,
-                                 "extensions": 0, "single_flight_waits": 0,
-                                 "bulk_hits": 0, "bulk_builds": 0}
+                                 "extensions": 0, "single_flight_waits": 0}
         # The closure is a real materialisation.
         rdf_type = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
         assert (IRI("urn:rex"), rdf_type, IRI("urn:Animal")) in first

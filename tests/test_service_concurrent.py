@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 import urllib.error
@@ -407,6 +408,31 @@ class TestHTTPServer:
         status, body = _request(server.url, "/ask", {
             "question": QUESTION, "explanation_type": "bogus"})
         assert status == 400 and "bogus" in body["message"]
+        # Wrongly typed JSON fields are the client's fault too.
+        for path, payload in [
+            ("/ask", {"question": 123}),
+            ("/ask", {"question": ["x"]}),
+            ("/update", {"question": 123}),
+            ("/update", {"question": ["x"]}),
+            ("/ask", {"question": QUESTION, "persona": []}),
+            ("/sessions", {"persona": {"a": 1}}),
+            ("/ask", {"question": QUESTION, "session_id": 9}),
+            ("/ask", {"question": QUESTION, "explanation_type": 5}),
+            ("/update", {"question": QUESTION, "persona": "paper", "likes": [1]}),
+            ("/update", {"question": QUESTION, "persona": "paper",
+                         "conditions": ["bogus"]}),
+        ]:
+            status, body = _request(server.url, path, payload)
+            assert (status, body["error"]) == (400, "bad_request"), (path, payload)
+        assert server.internal_errors == 0
+
+    def test_negative_content_length_is_a_400_without_reading(self, server):
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(b"POST /ask HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: -1\r\n\r\n{}")
+            status_line = sock.recv(4096).split(b"\r\n", 1)[0]
+        assert status_line.split()[1] == b"400"
 
     def test_backpressure_is_a_typed_503_then_recovers(self, server):
         sharded = server.service

@@ -569,7 +569,7 @@ class TestHTTPFaultTaxonomy:
         assert status == 200 and body["text"]
 
     def test_bad_timeout_is_a_400(self, server):
-        for bad in ("soon", -1, 0):
+        for bad in ("soon", -1, 0, float("nan"), float("inf")):
             status, body, _ = _request(
                 server.url, "/ask",
                 {"question": QUESTION, "persona": "paper", "timeout": bad})
