@@ -50,8 +50,9 @@ class ContextualExplanationGenerator(ExplanationGenerator):
 
         items: List[ExplanationItem] = []
         for characteristic, classes in sorted(classes_by_characteristic.items()):
+            # The smallest name, not the first row: independent of row order.
             specific = [cls for cls in classes if cls not in _GENERIC_CLASSES]
-            chosen = specific[0] if specific else classes[0]
+            chosen = min(specific or classes)
             items.append(ExplanationItem(
                 subject=characteristic,
                 role="context",

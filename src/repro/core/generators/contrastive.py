@@ -38,10 +38,11 @@ class ContrastiveExplanationGenerator(ExplanationGenerator):
             fact_type = local_name(row.get("factType"))
             foil = local_name(row.get("foilB"))
             foil_type = local_name(row.get("foilType"))
-            if fact and fact_type and fact not in facts:
-                facts[fact] = fact_type
-            if foil and foil_type and foil not in foils:
-                foils[foil] = foil_type
+            # The smallest type per fact / foil: independent of row order.
+            if fact and fact_type:
+                facts[fact] = min(facts.get(fact, fact_type), fact_type)
+            if foil and foil_type:
+                foils[foil] = min(foils.get(foil, foil_type), foil_type)
 
         items: List[ExplanationItem] = []
         for fact, fact_type in sorted(facts.items()):

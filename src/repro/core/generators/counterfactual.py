@@ -36,13 +36,11 @@ class CounterfactualExplanationGenerator(ExplanationGenerator):
             prop = local_name(row.get("property"))
             base_food = local_name(row.get("baseFood"))
             inherited = local_name(row.get("inheritedFood")) or None
-            if not base_food:
-                continue
-            if prop == "forbids":
-                forbidden.setdefault(base_food, inherited)
-            elif prop == "recommends":
-                if base_food not in recommended or (inherited and not recommended[base_food]):
-                    recommended[base_food] = inherited
+            foods = {"forbids": forbidden, "recommends": recommended}.get(prop)
+            if base_food and foods is not None:
+                # The smallest non-empty inherited food: independent of row order.
+                foods[base_food] = min(filter(None, (foods.get(base_food), inherited)),
+                                       default=None)
 
         items: List[ExplanationItem] = []
         for food_name, inherited in sorted(forbidden.items()):

@@ -48,7 +48,9 @@ class EverydayExplanationGenerator(ExplanationGenerator):
                 for other in ingredients - anchors - {food_name}:
                     if other not in _STAPLES:
                         counter[other] += 1
-        return [name for name, _ in counter.most_common(self._max_pairings)]
+        # Ties break by name, not by set iteration order (the hash seed).
+        ranked = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
+        return [name for name, _ in ranked[:self._max_pairings]]
 
     def generate(self, scenario: Scenario, **kwargs) -> Explanation:
         subject = (getattr(scenario.question, "recipe", "")

@@ -10,7 +10,7 @@ namespace management and blank-node-aware graph comparison).
 from .collection import make_collection, read_collection
 from .compare import graph_diff, isomorphic
 from .dictionary import TermDictionary
-from .graph import ChangeJournal, EncodedTriple, Graph, ReadOnlyGraphUnion, Triple
+from .graph import ChangeJournal, EncodedTriple, Graph, Triple
 from .namespace import (
     DC,
     DEFAULT_PREFIXES,
@@ -68,7 +68,6 @@ __all__ = [
     "PROV",
     "RDF",
     "RDFS",
-    "ReadOnlyGraphUnion",
     "SIO",
     "SKOS",
     "Term",

@@ -31,7 +31,7 @@ from .dictionary import TermDictionary
 from .namespace import RDF, NamespaceManager
 from .terms import BNode, IRI, Literal, Term
 
-__all__ = ["Triple", "EncodedTriple", "Graph", "ChangeJournal", "ReadOnlyGraphUnion"]
+__all__ = ["Triple", "EncodedTriple", "Graph", "ChangeJournal"]
 
 Node = Union[IRI, BNode, Literal]
 Triple = Tuple[Node, IRI, Node]
@@ -890,84 +890,3 @@ def _check_predicate(p: Any) -> IRI:
         return p
     _check_term(p, "predicate", allow_literal=False)
     raise TypeError("Predicates must be IRIs")
-
-
-class ReadOnlyGraphUnion:
-    """A lightweight read-only view over several graphs.
-
-    Used when querying a base ontology graph together with an inferred
-    graph without materialising the union.  The view is term-level: its
-    members may belong to different graph families (different term
-    dictionaries), so matching and deduplication happen on decoded terms.
-    """
-
-    def __init__(self, *graphs: Graph) -> None:
-        if not graphs:
-            raise ValueError("ReadOnlyGraphUnion requires at least one graph")
-        self.graphs: List[Graph] = list(graphs)
-        self.namespace_manager = graphs[0].namespace_manager
-
-    def triples(self, pattern: TriplePattern = (None, None, None)) -> Iterator[Triple]:
-        seen: Set[Triple] = set()
-        for graph in self.graphs:
-            for triple in graph.triples(pattern):
-                if triple not in seen:
-                    seen.add(triple)
-                    yield triple
-
-    def __contains__(self, pattern: TriplePattern) -> bool:
-        return any(pattern in graph for graph in self.graphs)
-
-    def cardinality(self, pattern: TriplePattern = (None, None, None)) -> int:
-        """Upper-bound cardinality: the member sums (overlap counted twice).
-
-        An over-estimate is fine for the query planner's join ordering, and
-        summing keeps the call as cheap as the members' O(1) lookups.
-        """
-        return sum(graph.cardinality(pattern) for graph in self.graphs)
-
-    def index_stats(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {"triples": 0, "subjects": 0, "predicates": 0, "objects": 0}
-        for graph in self.graphs:
-            for key, value in graph.index_stats().items():
-                totals[key] += value
-        return totals
-
-    def predicate_stats(self, predicate: IRI) -> Dict[str, int]:
-        totals: Dict[str, int] = {"count": 0, "distinct_objects": 0}
-        for graph in self.graphs:
-            for key, value in graph.predicate_stats(predicate).items():
-                totals[key] += value
-        return totals
-
-    def __iter__(self) -> Iterator[Triple]:
-        return self.triples()
-
-    def __len__(self) -> int:
-        return len(set().union(*(set(g) for g in self.graphs)))
-
-    def objects(self, subject=None, predicate=None):
-        seen: Set[Node] = set()
-        for _, _, o in self.triples((subject, predicate, None)):
-            if o not in seen:
-                seen.add(o)
-                yield o
-
-    def subjects(self, predicate=None, obj=None):
-        seen: Set[Node] = set()
-        for s, _, _ in self.triples((None, predicate, obj)):
-            if s not in seen:
-                seen.add(s)
-                yield s
-
-    def value(self, subject=None, predicate=None, obj=None, default=None):
-        for graph in self.graphs:
-            result = graph.value(subject, predicate, obj, default=None)
-            if result is not None:
-                return result
-        return default
-
-    def query(self, query_text: str, initBindings: Optional[Dict[str, Node]] = None):
-        from ..sparql import query as sparql_query
-
-        return sparql_query(self, query_text, init_bindings=initBindings)

@@ -19,7 +19,7 @@ Keywords are case-insensitive, as in the SPARQL recommendation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from ..rdf.namespace import NamespaceManager, RDF
 from ..rdf.terms import BNode, IRI, Literal, Variable, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
@@ -94,6 +94,23 @@ def _unescape(text: str) -> str:
             out.append(char)
             i += 1
     return "".join(out)
+
+
+def _in_scope(pattern) -> Set[Variable]:
+    """The variables a group element brings into scope (FILTER/MINUS: none)."""
+    if isinstance(pattern, BGP):
+        return {var for triple in pattern.triples for var in triple.variables()}
+    if isinstance(pattern, GroupPattern):
+        return set().union(*(_in_scope(element) for element in pattern.patterns))
+    if isinstance(pattern, OptionalPattern):
+        return _in_scope(pattern.pattern)
+    if isinstance(pattern, UnionPattern):
+        return set().union(*(_in_scope(alternative) for alternative in pattern.alternatives))
+    if isinstance(pattern, BindPattern):
+        return {pattern.variable}
+    if isinstance(pattern, ValuesPattern):
+        return set(pattern.variables)
+    return set()
 
 
 class _Parser:
@@ -335,8 +352,13 @@ class _Parser:
                 var_token = self.next()
                 if var_token.kind != "VAR":
                     raise self.error("BIND requires a variable after AS")
+                variable = Variable(var_token.value)
+                # SPARQL 1.1 §18.2.1: the BIND variable must not already be
+                # in scope from the preceding elements of the group.
+                if any(variable in _in_scope(element) for element in group.patterns):
+                    raise self.error(f"BIND would rebind in-scope variable ?{variable}")
                 self.expect_punct(")")
-                group.patterns.append(BindPattern(expr, Variable(var_token.value)))
+                group.patterns.append(BindPattern(expr, variable))
             elif token.is_keyword("VALUES"):
                 self.next()
                 group.patterns.append(self._parse_values())

@@ -25,6 +25,9 @@ algebra into an executable plan before evaluation:
   linked cells over the incoming mapping, killing the per-row
   ``dict(solution)`` copy of the naive ``_merge``; a plain dict is only
   materialised once per surviving BGP row.
+* **Dictionary-ID joins** — every BGP, property paths included, joins on
+  the graph's integer term IDs and decodes only where terms become
+  observable (:class:`PlanEvaluator` states the invariant).
 
 Reordering only happens *inside* one merged BGP and filters only move
 *earlier* when provably equivalent, so planned evaluation is
@@ -45,6 +48,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..rdf.dictionary import KIND_LITERAL
+from ..rdf.graph import Graph
 from ..rdf.terms import BNode, IRI, Variable
 from .algebra import (
     AggregateExpr,
@@ -301,19 +305,25 @@ class _FilterInfo:
 class PlannedBGP(Pattern):
     """A merged basic graph pattern whose join order is chosen at runtime.
 
-    A BGP containing a triple pattern that repeats a variable across
-    positions (``?x :p ?x``) is pinned to textual order: the naive
-    evaluator resolves repeated variables through dictionary overwrites,
-    which is not join-commutative, and the planner must stay
-    row-equivalent to it.  Such BGPs still get probe reuse, chained
-    bindings and filter pushdown — just not reordering.
+    Two kinds of BGP are pinned to textual order, because the naive
+    evaluator's substitution semantics are not join-commutative for them
+    and the planner must stay row-equivalent to it: a pattern repeating a
+    variable across positions (``?x :p ?x``, resolved by dict overwrites),
+    and a property path beside a variable-predicate triple (a zero-length
+    step matches a bound endpoint even when it is no graph node, such as
+    a predicate, while a free endpoint ranges over graph nodes only).
+    Such BGPs still get probe reuse, chained bindings and filter
+    pushdown — just not reordering.
     """
 
     __slots__ = ("triples", "reorderable", "all_vars", "order_cache")
 
     def __init__(self, triples: Sequence[_TripleInfo]) -> None:
         self.triples: Tuple[_TripleInfo, ...] = tuple(triples)
-        self.reorderable = not any(info.has_repeated_var for info in self.triples)
+        self.reorderable = not any(info.has_repeated_var for info in self.triples) and not (
+            any(info.is_path for info in self.triples)
+            and any(info.predicate_var is not None for info in self.triples)
+        )
         self.all_vars: FrozenSet[Variable] = (
             frozenset().union(*(info.vars for info in self.triples))
             if self.triples else frozenset()
@@ -473,25 +483,24 @@ _MISSING = object()
 
 
 class _DecodingView(MappingABC):
-    """A read-only term-level view over a chain with ID-valued cells.
+    """A read-only term-level view over a chain whose cells may hold IDs.
 
     Filter expressions observe terms; instead of materialising and
     decoding every chain before a pushed-down filter runs, the filter
-    evaluates against this view, which decodes the ID-bound variables on
-    access.  Surviving chains stay chains (and stay encoded), so the
-    remaining joins keep running on IDs.
+    evaluates against this view, which decodes ``int`` cells (dictionary
+    IDs) on access.  Surviving chains stay chains (and stay encoded), so
+    the remaining joins keep running on IDs.
     """
 
-    __slots__ = ("_chain", "_id_vars", "_terms")
+    __slots__ = ("_chain", "_terms")
 
-    def __init__(self, chain: Any, id_vars: Set[Variable], terms: List[Any]) -> None:
+    def __init__(self, chain: Any, terms: List[Any]) -> None:
         self._chain = chain
-        self._id_vars = id_vars
         self._terms = terms
 
     def get(self, key: Any, default: Any = None) -> Any:
         value = self._chain.get(key, default)
-        if type(value) is int and key in self._id_vars:
+        if type(value) is int:
             return self._terms[value]
         return value
 
@@ -583,6 +592,15 @@ class PlanEvaluator(QueryEvaluator):
     still evaluate through the inherited naive paths, so a plan can mix
     planned and unplanned subtrees freely.
 
+    Every BGP joins in dictionary-ID space.  A chain cell holding a
+    Python ``int`` is an ID of the graph's term dictionary; any other
+    value is a term (no RDF term is an ``int``: ``IRI`` / ``BNode``
+    subclass ``str`` and ``Literal`` is its own class).  Incoming
+    solutions and property-path matches bind terms, triple matches bind
+    IDs, so one solution may mix both; probes encode term cells and
+    decoding happens where terms become observable — materialisation
+    and filter evaluation.
+
     The evaluator instance lives for one query evaluation and carries two
     memo tables across repeated sub-evaluations (OPTIONAL / UNION / MINUS
     re-enter their inner pattern once per outer solution): the chosen join
@@ -591,7 +609,7 @@ class PlanEvaluator(QueryEvaluator):
     read-only for the duration of one evaluation.
     """
 
-    def __init__(self, graph) -> None:
+    def __init__(self, graph: Graph) -> None:
         super().__init__(graph)
         self._order_cache: Dict[Tuple[int, FrozenSet[Variable]], Tuple[Tuple[_TripleInfo, ...], float]] = {}
         self._exists_cache: Dict[int, Dict[Tuple, bool]] = {}
@@ -599,16 +617,12 @@ class PlanEvaluator(QueryEvaluator):
         # stats in one lock trip per evaluation (a nested OPTIONAL can run
         # thousands of tiny BGP joins per query).
         self._pending_stats: Dict[str, int] = {}
-        # The encoded fast path binds and joins on dictionary IDs when the
-        # graph is a dictionary-encoded store (a ReadOnlyGraphUnion is not:
-        # its members may belong to different families).
-        self._dictionary = getattr(graph, "dictionary", None) if hasattr(
-            graph, "triples_ids") else None
-        # Compiled ID-space filter predicates, memoised per (expression,
-        # relevant id-var membership): OPTIONAL / UNION / MINUS re-enter
-        # their inner BGPs once per outer solution and would otherwise
-        # recompile the same predicate every time.
-        self._id_filter_cache: Dict[Tuple, Any] = {}
+        self._dictionary = graph.dictionary
+        # Compiled ID-space filter predicates, memoised per expression:
+        # OPTIONAL / UNION / MINUS re-enter their inner BGPs once per outer
+        # solution and would otherwise recompile the same predicate every
+        # time.
+        self._id_filter_cache: Dict[int, Any] = {}
 
     def evaluate(self, query, init_bindings=None):
         try:
@@ -639,13 +653,14 @@ class PlanEvaluator(QueryEvaluator):
     def _evaluate_optional(self, pattern: OptionalPattern, solutions: List[Solution]) -> List[Solution]:
         """OPTIONAL as one batched left join instead of a per-row loop.
 
-        When every incoming solution binds the same variable set, the inner
-        pattern is evaluated once over the whole batch (so its joins get
-        the probe table and one ordering decision) and the unmatched rows
-        are recovered afterwards: an extension preserves its source row's
-        bindings, so projecting an output onto the input domain identifies
-        the input it came from.  Mixed-domain batches (possible after a
-        previous OPTIONAL) fall back to the naive per-row loop.
+        A single-BGP inner pattern joins the whole batch at once (so its
+        joins get the probe table and one ordering decision), whatever
+        variables each incoming row binds.  Other inner patterns are
+        batched when every incoming solution binds the same variable set:
+        the unmatched rows are recovered afterwards, because an extension
+        preserves its source row's bindings, so projecting an output onto
+        the input domain identifies the input it came from.  Mixed-domain
+        batches of those fall back to the naive per-row loop.
         """
         if len(solutions) > 1:
             inner = pattern.pattern
@@ -658,7 +673,7 @@ class PlanEvaluator(QueryEvaluator):
                 # Joins extend a chain without replacing its root, so each
                 # output's root object *is* the input row it came from.
                 bgp = inner.elements[0][0]
-                chains, _, id_vars = self._join_bgp(
+                chains, _ = self._join_bgp(
                     bgp, solutions, self._bound_in_all(solutions), ()
                 )
                 matched: Set[int] = set()
@@ -668,12 +683,7 @@ class PlanEvaluator(QueryEvaluator):
                     while type(node) is _ChainSolution:
                         node = node._parent
                     matched.add(id(node))
-                    if id_vars:
-                        results.append(self._decode_chain(chain, id_vars))
-                    else:
-                        results.append(
-                            chain.materialize() if type(chain) is _ChainSolution else chain
-                        )
+                    results.append(self._decode_chain(chain))
                 for solution in solutions:
                     if id(solution) not in matched:
                         results.append(solution)
@@ -792,22 +802,11 @@ class PlanEvaluator(QueryEvaluator):
         bound: Set[Variable],
         pending: Sequence[_FilterInfo],
     ) -> Tuple[List[Solution], List[_FilterInfo]]:
-        chains, applied, id_vars = self._join_bgp(bgp, solutions, bound, pending)
-        if id_vars:
-            results = [self._decode_chain(chain, id_vars) for chain in chains]
-        else:
-            results = [
-                chain.materialize() if type(chain) is _ChainSolution else chain
-                for chain in chains
-            ]
-        return results, applied
+        chains, applied = self._join_bgp(bgp, solutions, bound, pending)
+        return [self._decode_chain(chain) for chain in chains], applied
 
-    def _decode_chain(self, chain: Any, id_vars: Set[Variable]) -> Solution:
-        """Materialise a chain, decoding its ID-valued cells in the same pass.
-
-        Only variables bound by the encoded join path (``id_vars``) can
-        hold IDs; everything else is already a term.
-        """
+    def _decode_chain(self, chain: Any) -> Solution:
+        """Materialise a chain, decoding its ``int`` (ID) cells in the same pass."""
         terms = self._dictionary.terms
         cells: List[Tuple[Variable, Any]] = []
         node = chain
@@ -816,7 +815,7 @@ class PlanEvaluator(QueryEvaluator):
             node = node._parent
         out = dict(node)
         for var, value in reversed(cells):
-            out[var] = terms[value] if type(value) is int and var in id_vars else value
+            out[var] = terms[value] if type(value) is int else value
         return out
 
     def _join_bgp(
@@ -825,18 +824,13 @@ class PlanEvaluator(QueryEvaluator):
         solutions: List[Solution],
         bound: Set[Variable],
         pending: Sequence[_FilterInfo],
-    ) -> Tuple[List[Any], List[_FilterInfo], Set[Variable]]:
+    ) -> Tuple[List[Any], List[_FilterInfo]]:
         """Join every triple of ``bgp`` into ``solutions``, returning chains.
 
         The chain layer is exposed so callers that can exploit it (the
         batched OPTIONAL left join) avoid the per-row materialisation.
-
-        On a dictionary-encoded graph the joins run in ID space: pattern
-        constants are encoded once, probe keys and chain cells hold
-        integer IDs, and decoding is deferred to the points where terms
-        become observable — chain materialisation and filter evaluation.
-        The returned ``id_vars`` names the variables whose chain cells
-        hold IDs (empty on the term path), so callers know what to decode.
+        Chain cells hold dictionary IDs or terms (see the class
+        docstring); callers decode with :meth:`_decode_chain`.
         """
         order, growth = self._bgp_order(bgp, frozenset(bound))
         bound = set(bound)
@@ -846,30 +840,10 @@ class PlanEvaluator(QueryEvaluator):
         estimated = float(len(chains)) * growth
         probes = 0
         probe_hits = 0
-        # The encoded path needs a uniform solution domain so that term-vs-ID
-        # provenance is a per-variable fact, not a per-row one; property
-        # paths evaluate through the term-level path machinery and keep the
-        # whole BGP on the term path.
-        id_vars: Set[Variable] = set()
-        use_encoded = (
-            self._dictionary is not None
-            and chains
-            and not any(info.is_path for info in order)
-        )
-        if use_encoded and len(chains) > 1:
-            common = self._bound_in_all(chains)
-            use_encoded = all(len(solution) == len(common) for solution in chains)
-        if use_encoded:
-            self._bump("encoded_bgps")
         for info in order:
             if not chains:
                 break
-            if use_encoded:
-                chains, p_count, h_count, new_vars = self._join_triple_ids(
-                    info, chains, id_vars)
-                id_vars |= new_vars
-            else:
-                chains, p_count, h_count = self._join_triple(info, chains)
+            chains, p_count, h_count = self._join_triple_ids(info, chains)
             probes += p_count
             probe_hits += h_count
             bound |= info.vars
@@ -877,26 +851,20 @@ class PlanEvaluator(QueryEvaluator):
                 still: List[_FilterInfo] = []
                 for finfo in pending_local:
                     if not finfo.has_exists and finfo.vars <= bound:
-                        if id_vars:
-                            # Filters observe terms: evaluate each chain
-                            # through a decoding view so survivors stay
-                            # encoded chains for the remaining joins.
-                            chains = self._filter_chains_encoded(
-                                finfo.expression, chains, id_vars)
-                        else:
-                            chains = self._apply_filter(finfo.expression, chains)
+                        chains = self._filter_chains_encoded(finfo.expression, chains)
                         applied.append(finfo)
                     else:
                         still.append(finfo)
                 pending_local = still
         self._bump("bgps_evaluated")
+        self._bump("encoded_bgps")
         if [info.index for info in order] != sorted(info.index for info in order):
             self._bump("reorderings_applied")
         self._bump("hash_join_probes", probes)
         self._bump("hash_join_reuses", probe_hits)
         self._bump("estimated_rows", min(int(estimated + 0.5), 10 ** 15))
         self._bump("actual_rows", len(chains))
-        return chains, applied, id_vars
+        return chains, applied
 
     def _bgp_order(
         self, bgp: PlannedBGP, bound: FrozenSet[Variable]
@@ -916,19 +884,12 @@ class PlanEvaluator(QueryEvaluator):
         graph = self.graph
         # A second, plan-lifetime memo shared across evaluations: the
         # selection depends only on the bound set and the graph's content,
-        # so it is keyed by the O(1) fingerprint when the graph has one.
-        fingerprint = getattr(graph, "fingerprint", None)
-        shared_key = (bound, fingerprint()) if fingerprint is not None else None
-        if shared_key is not None:
-            cached = bgp.order_cache.get(shared_key)
-            if cached is not None:
-                self._order_cache[key] = cached
-                return cached
-        can_estimate = hasattr(graph, "cardinality") and hasattr(graph, "index_stats")
-        if not can_estimate:
-            result: Tuple[Tuple[_TripleInfo, ...], float] = (bgp.triples, 1.0)
-            self._order_cache[key] = result
-            return result
+        # so it is keyed by the graph's O(1) fingerprint.
+        shared_key = (bound, graph.fingerprint())
+        cached = bgp.order_cache.get(shared_key)
+        if cached is not None:
+            self._order_cache[key] = cached
+            return cached
         index_stats = graph.index_stats()
         remaining = list(bgp.triples)
         working = set(bound)
@@ -945,17 +906,16 @@ class PlanEvaluator(QueryEvaluator):
             working |= info.vars
         result = (tuple(order), growth)
         self._order_cache[key] = result
-        if shared_key is not None:
-            if len(bgp.order_cache) >= 128:
-                bgp.order_cache.clear()
-            bgp.order_cache[shared_key] = result
+        if len(bgp.order_cache) >= 128:
+            bgp.order_cache.clear()
+        bgp.order_cache[shared_key] = result
         return result
 
     def _select_triple(
         self,
         remaining: Sequence[_TripleInfo],
         bound: Set[Variable],
-        graph: Any,
+        graph: Graph,
         index_stats: Dict[str, int],
     ) -> _TripleInfo:
         """Pick the pattern with the smallest estimated growth factor.
@@ -980,7 +940,7 @@ class PlanEvaluator(QueryEvaluator):
     def _estimate_triple(
         info: _TripleInfo,
         bound: Set[Variable],
-        graph: Any,
+        graph: Graph,
         index_stats: Dict[str, int],
     ) -> float:
         """Expected matches per incoming solution for one triple pattern."""
@@ -1012,81 +972,7 @@ class PlanEvaluator(QueryEvaluator):
             estimate /= max(1.0, float(distinct))
         return max(estimate, 1e-3)
 
-    def _join_triple(
-        self, info: _TripleInfo, chains: List[Any]
-    ) -> Tuple[List[Any], int, int]:
-        """Join one triple pattern into every chain (hash-join probe reuse).
-
-        Probes are keyed by the substituted pattern; each distinct key is
-        answered once against the graph and its matches (as addition
-        tuples) are reused for every chain producing the same key.
-        """
-        pattern = info.pattern
-        subject_var = info.subject_var
-        predicate_var = info.predicate_var
-        object_var = info.object_var
-        subject_const = pattern.subject if subject_var is None else None
-        object_const = pattern.object if object_var is None else None
-        predicate_const = None if info.is_path else (
-            pattern.predicate if predicate_var is None else None
-        )
-
-        def substituted(chain) -> Tuple[Any, Any, Any]:
-            s = chain.get(subject_var) if subject_var is not None else subject_const
-            o = chain.get(object_var) if object_var is not None else object_const
-            p = (chain.get(predicate_var) if predicate_var is not None
-                 else predicate_const)
-            return s, p, o
-
-        results: List[Any] = []
-        if len(chains) == 1:
-            # Singleton fast path (every naive OPTIONAL/UNION/MINUS inner
-            # evaluation): no reuse possible, skip the probe table.
-            s, p, o = substituted(chains[0])
-            chain = chains[0]
-            for additions in self._probe_triple(info, s, p, o):
-                extended = chain
-                for var, value in additions:
-                    extended = _ChainSolution(extended, var, value)
-                results.append(extended)
-            return results, 1, 0
-        # Probe keys only need the positions that can vary between chains:
-        # the variable slots.  Constants contribute nothing to the key.
-        var_slots = info.var_slots
-        cache: Dict[Any, List[Tuple[Tuple[Variable, Any], ...]]] = {}
-        probes = 0
-        hits = 0
-        if len(var_slots) == 1:
-            key_var = var_slots[0][1]
-
-            def probe_key(chain):
-                return chain.get(key_var)
-        else:
-            key_vars = tuple(var for _, var in var_slots)
-
-            def probe_key(chain):
-                return tuple(chain.get(var) for var in key_vars)
-
-        for chain in chains:
-            key = probe_key(chain)
-            matches = cache.get(key)
-            if matches is None:
-                probes += 1
-                s, p, o = substituted(chain)
-                matches = self._probe_triple(info, s, p, o)
-                cache[key] = matches
-            else:
-                hits += 1
-            for additions in matches:
-                extended = chain
-                for var, value in additions:
-                    extended = _ChainSolution(extended, var, value)
-                results.append(extended)
-        return results, probes, hits
-
-    def _filter_chains_encoded(
-        self, expression: Expression, chains: List[Any], id_vars: Set[Variable]
-    ) -> List[Any]:
+    def _filter_chains_encoded(self, expression: Expression, chains: List[Any]) -> List[Any]:
         """Apply one pushed-down filter to encoded chains.
 
         Simple (in)equality constraints compile into ID-space predicates
@@ -1096,16 +982,11 @@ class PlanEvaluator(QueryEvaluator):
         evaluate generically through a term-decoding view.
         """
         terms = self._dictionary.terms
-        # Compilation depends only on which of the expression's variables
-        # ride the encoded path, so the memo key projects id_vars onto them.
-        key = (id(expression),
-               frozenset(var for var in expression_variables(expression)
-                         if var in id_vars))
         try:
-            predicate = self._id_filter_cache[key]
+            predicate = self._id_filter_cache[id(expression)]
         except KeyError:
-            predicate = self._compile_id_filter(expression, id_vars)
-            self._id_filter_cache[key] = predicate
+            predicate = self._compile_id_filter(expression)
+            self._id_filter_cache[id(expression)] = predicate
         kept: List[Any] = []
         for chain in chains:
             if predicate is not None:
@@ -1115,7 +996,7 @@ class PlanEvaluator(QueryEvaluator):
                     continue
                 if verdict is False:
                     continue
-            view = _DecodingView(chain, id_vars, terms)
+            view = _DecodingView(chain, terms)
             try:
                 value = evaluate_expression(expression, view, self._exists)
                 if effective_boolean_value(value):
@@ -1124,18 +1005,18 @@ class PlanEvaluator(QueryEvaluator):
                 continue
         return kept
 
-    def _compile_id_filter(self, expression: Expression, id_vars: Set[Variable]):
+    def _compile_id_filter(self, expression: Expression):
         """Compile ``expression`` into a tri-state ID-space predicate, if possible.
 
-        Handles ``=`` / ``!=`` between variables bound by the encoded join
-        and IRI/BNode constants, combined with ``||`` / ``&&``.  The
-        returned callable maps a chain to ``True`` / ``False`` when the
-        verdict is decidable on IDs alone — identical non-literal terms are
-        equal, distinct non-literal terms are unequal, mixed literal /
-        non-literal comparisons are unequal (matching ``_compare``) — and
-        to ``None`` when SPARQL value semantics need the terms (unbound
-        variables, literal/literal comparison, identical literals whose
-        value space may disagree with term identity, e.g. NaN).  Returns
+        Handles ``=`` / ``!=`` between variables and IRI/BNode constants,
+        combined with ``||`` / ``&&``.  The returned callable maps a chain
+        to ``True`` / ``False`` when the verdict is decidable on IDs alone
+        — identical non-literal terms are equal, distinct non-literal
+        terms are unequal, mixed literal / non-literal comparisons are
+        unequal (matching ``_compare``) — and to ``None`` when the terms
+        are needed: a variable cell that is unbound or holds a term rather
+        than an ID, literal/literal comparison, identical literals whose
+        value space may disagree with term identity (e.g. NaN).  Returns
         ``None`` when the expression shape doesn't compile.
         """
         dictionary = self._dictionary
@@ -1181,8 +1062,6 @@ class PlanEvaluator(QueryEvaluator):
             sides = []
             for side in (expr.left, expr.right):
                 if isinstance(side, VariableExpr):
-                    if side.variable not in id_vars:
-                        return None
                     sides.append((side.variable, None))
                 elif (isinstance(side, TermExpr)
                       and isinstance(side.term, (IRI, BNode))):
@@ -1194,17 +1073,19 @@ class PlanEvaluator(QueryEvaluator):
 
             def equality(chain, _lv=left_var, _lc=left_const, _rv=right_var,
                          _rc=right_const, _neg=negate, _kinds=kinds):
+                # A cell that is not an ``int`` is unbound (the generic path
+                # raises, dropping the row) or a term: either way undecided.
                 if _lv is not None:
                     a = chain.get(_lv)
-                    if a is None:
-                        return None  # unbound: generic path raises, dropping the row
+                    if type(a) is not int:
+                        return None
                     a_literal = _kinds[a] == KIND_LITERAL
                 else:
                     a = _lc
                     a_literal = False
                 if _rv is not None:
                     b = chain.get(_rv)
-                    if b is None:
+                    if type(b) is not int:
                         return None
                     b_literal = _kinds[b] == KIND_LITERAL
                 else:
@@ -1222,76 +1103,67 @@ class PlanEvaluator(QueryEvaluator):
         return compile_node(expression)
 
     def _join_triple_ids(
-        self, info: _TripleInfo, chains: List[Any], id_vars: Set[Variable]
-    ) -> Tuple[List[Any], int, int, Set[Variable]]:
-        """The encoded mirror of :meth:`_join_triple`.
+        self, info: _TripleInfo, chains: List[Any]
+    ) -> Tuple[List[Any], int, int]:
+        """Join one triple pattern into every chain (hash-join probe reuse).
 
-        Pattern constants are encoded once per triple; bound variables
-        substitute either their chain-cell ID (variables in ``id_vars``)
-        or their term encoded through the dictionary (variables bound by
-        the incoming solutions).  Matches come straight from the graph's
-        integer indexes and the addition cells store IDs — nothing is
-        decoded here.  Returns the extended chains, probe counts, and the
-        set of variables this join bound (their cells hold IDs).
+        Probes are keyed by the values of the pattern's variable slots; each
+        distinct key is answered once against the graph and its matches
+        (as addition tuples) are reused for every chain producing the same
+        key.  A triple probes the graph's integer indexes: its constants
+        are encoded once, a bound ``int`` cell substitutes as is and a
+        bound term is encoded through the dictionary, and the addition
+        cells store IDs.  A property path probes :func:`evaluate_path`
+        with its bound endpoints decoded to terms, and binds terms.
         """
-        dictionary = self._dictionary
-        lookup = dictionary.ids.get
         pattern = info.pattern
-        subject_var = info.subject_var
-        predicate_var = info.predicate_var
-        object_var = info.object_var
-        # -1 is the "bound to a term the graph has never seen" sentinel: a
-        # valid ID is never negative, and such a probe cannot match.
-        subject_const = object_const = predicate_const = None
-        if subject_var is None:
-            subject_const = lookup(pattern.subject, -1)
-        if object_var is None:
-            object_const = lookup(pattern.object, -1)
-        if predicate_var is None:
-            predicate_const = lookup(pattern.predicate, -1)
-        if -1 in (subject_const, predicate_const, object_const):
-            return [], 1, 0, set()
-        subject_is_id = subject_var in id_vars
-        predicate_is_id = predicate_var in id_vars
-        object_is_id = object_var in id_vars
+        if info.is_path:
+            terms = self._dictionary.terms
+            probe = (pattern.subject, None, pattern.object)
 
-        def substituted(chain) -> Tuple[Any, Any, Any]:
-            if subject_var is None:
-                s = subject_const
-            else:
-                s = chain.get(subject_var)
-                if s is not None and not subject_is_id:
-                    s = lookup(s, -1)
-            if predicate_var is None:
-                p = predicate_const
-            else:
-                p = chain.get(predicate_var)
-                if p is not None and not predicate_is_id:
-                    p = lookup(p, -1)
-            if object_var is None:
-                o = object_const
-            else:
-                o = chain.get(object_var)
-                if o is not None and not object_is_id:
-                    o = lookup(o, -1)
-            return s, p, o
+            def resolve(value):
+                return terms[value] if type(value) is int else value
+        else:
+            lookup = self._dictionary.ids.get
+            # -1 is the "bound to a term the graph has never seen" sentinel:
+            # a valid ID is never negative, and such a probe cannot match.
+            probe = tuple(
+                None if var is not None else lookup(term, -1)
+                for var, term in (
+                    (info.subject_var, pattern.subject),
+                    (info.predicate_var, pattern.predicate),
+                    (info.object_var, pattern.object),
+                )
+            )
+            if -1 in probe:
+                return [], 1, 0
 
-        new_vars: Set[Variable] = set()
+            def resolve(value):
+                if value is None or type(value) is int:
+                    return value
+                return lookup(value, -1)
+
+        var_slots = info.var_slots
+
+        def matches_for(chain) -> List[Tuple[Tuple[Variable, Any], ...]]:
+            spo = list(probe)
+            for slot, var in var_slots:
+                spo[slot] = resolve(chain.get(var))
+            return self._probe(info, *spo)
+
         results: List[Any] = []
         if len(chains) == 1:
-            # Singleton fast path: no reuse possible, skip the probe table.
+            # Singleton fast path (every naive OPTIONAL/UNION/MINUS inner
+            # evaluation): no reuse possible, skip the probe table.
             chain = chains[0]
-            s, p, o = substituted(chain)
-            matches = self._probe_triple_ids(info, s, p, o)
-            if matches:
-                new_vars.update(var for var, _ in matches[0])
-            for additions in matches:
+            for additions in matches_for(chain):
                 extended = chain
                 for var, value in additions:
                     extended = _ChainSolution(extended, var, value)
                 results.append(extended)
-            return results, 1, 0, new_vars
-        var_slots = info.var_slots
+            return results, 1, 0
+        # Probe keys only need the positions that can vary between chains:
+        # the variable slots.  Constants contribute nothing to the key.
         cache: Dict[Any, List[Tuple[Tuple[Variable, Any], ...]]] = {}
         probes = 0
         hits = 0
@@ -1311,11 +1183,8 @@ class PlanEvaluator(QueryEvaluator):
             matches = cache.get(key)
             if matches is None:
                 probes += 1
-                s, p, o = substituted(chain)
-                matches = self._probe_triple_ids(info, s, p, o)
+                matches = matches_for(chain)
                 cache[key] = matches
-                if matches and not new_vars:
-                    new_vars.update(var for var, _ in matches[0])
             else:
                 hits += 1
             for additions in matches:
@@ -1323,25 +1192,34 @@ class PlanEvaluator(QueryEvaluator):
                 for var, value in additions:
                     extended = _ChainSolution(extended, var, value)
                 results.append(extended)
-        return results, probes, hits, new_vars
+        return results, probes, hits
 
-    def _probe_triple_ids(
+    def _probe(
         self, info: _TripleInfo, s: Any, p: Any, o: Any
     ) -> List[Tuple[Tuple[Variable, Any], ...]]:
-        """All encoded matches of a substituted pattern, as addition tuples.
+        """All matches of a substituted pattern, as addition tuples.
 
-        A ``-1`` in any position means a bound term unknown to the graph's
-        dictionary: nothing can match.  Additions mirror
-        :meth:`_probe_triple`, including the repeated-variable overwrite
-        behaviour, so planned evaluation stays row-identical to naive.
+        Additions cover only the positions that were unbound in the probe.
+        A ``-1`` in a triple's probe means a bound term unknown to the
+        graph's dictionary: nothing can match.  A property path gets no
+        such early exit: a zero-length path from a node absent from the
+        graph still matches the node itself.  A variable repeated across
+        positions keeps the naive evaluator's behaviour (the later
+        position's dict write wins), so planned and naive evaluation stay
+        row-identical even on degenerate patterns.
         """
-        if -1 in (s, p, o):
+        if info.is_path:
+            found = ((ms, None, mo) for ms, mo in
+                     evaluate_path(self.graph, info.pattern.predicate, s, o))
+        elif -1 in (s, p, o):
             return []
+        else:
+            found = self.graph.triples_ids((s, p, o))
         subject_var = info.subject_var
         predicate_var = info.predicate_var
         object_var = info.object_var
         matches: List[Tuple[Tuple[Variable, Any], ...]] = []
-        for ms, mp, mo in self.graph.triples_ids((s, p, o)):
+        for ms, mp, mo in found:
             additions: Dict[Variable, Any] = {}
             if subject_var is not None and s is None:
                 additions[subject_var] = ms
@@ -1351,35 +1229,3 @@ class PlanEvaluator(QueryEvaluator):
                 additions[object_var] = mo
             matches.append(tuple(additions.items()))
         return matches
-
-    def _probe_triple(
-        self, info: _TripleInfo, s: Any, p: Any, o: Any
-    ) -> List[Tuple[Tuple[Variable, Any], ...]]:
-        """All matches of the substituted pattern, as addition tuples.
-
-        Additions cover only the positions that were unbound in the probe.
-        A variable repeated across positions keeps the naive evaluator's
-        behaviour (the later position's dict write wins), so planned and
-        naive evaluation stay row-identical even on degenerate patterns.
-        """
-        matches: List[Tuple[Tuple[Variable, Any], ...]] = []
-        if info.is_path:
-            for ms, mo in evaluate_path(self.graph, info.pattern.predicate, s, o):
-                additions: Dict[Variable, Any] = {}
-                if info.subject_var is not None and s is None:
-                    additions[info.subject_var] = ms
-                if info.object_var is not None and o is None:
-                    additions[info.object_var] = mo
-                matches.append(tuple(additions.items()))
-        else:
-            for ms, mp, mo in self.graph.triples((s, p, o)):
-                additions = {}
-                if info.subject_var is not None and s is None:
-                    additions[info.subject_var] = ms
-                if info.predicate_var is not None and p is None:
-                    additions[info.predicate_var] = mp
-                if info.object_var is not None and o is None:
-                    additions[info.object_var] = mo
-                matches.append(tuple(additions.items()))
-        return matches
-

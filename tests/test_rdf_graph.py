@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdf.graph import Graph, ReadOnlyGraphUnion
+from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import BNode, IRI, Literal
 
@@ -178,25 +178,6 @@ class TestSetOperations:
         assert (ex("x"), ex("p"), ex("y")) in small_graph
 
 
-class TestReadOnlyUnion:
-    def test_union_view_sees_both_graphs(self, small_graph):
-        other = Graph()
-        other.add((ex("x"), ex("p"), ex("y")))
-        view = ReadOnlyGraphUnion(small_graph, other)
-        assert (ex("x"), ex("p"), ex("y")) in view
-        assert (ex("alice"), ex("knows"), ex("bob")) in view
-        assert len(view) == 6
-
-    def test_union_view_deduplicates(self, small_graph):
-        other = small_graph.copy()
-        view = ReadOnlyGraphUnion(small_graph, other)
-        assert len(view) == len(small_graph)
-
-    def test_union_requires_at_least_one_graph(self):
-        with pytest.raises(ValueError):
-            ReadOnlyGraphUnion()
-
-
 class TestCardinality:
     """The O(1) statistics API feeding the SPARQL query planner."""
 
@@ -250,11 +231,3 @@ class TestCardinality:
         assert small_graph.predicate_stats(ex("unknown")) == {
             "count": 0, "distinct_objects": 0,
         }
-
-    def test_union_cardinality_sums_members(self, small_graph):
-        other = Graph()
-        other.add((ex("dave"), ex("knows"), ex("alice")))
-        view = ReadOnlyGraphUnion(small_graph, other)
-        assert view.cardinality((None, ex("knows"), None)) == 4
-        assert view.index_stats()["triples"] == 6
-        assert view.predicate_stats(ex("knows"))["count"] == 4

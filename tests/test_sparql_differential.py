@@ -10,7 +10,11 @@ the join order changes).
 The generator covers the planner's rewrite surface: BGP orderings (with
 adversarial var-var and unbound-predicate patterns), FILTER placement
 (including EXISTS and BOUND on possibly-unbound variables), OPTIONAL,
-UNION, MINUS, BIND, VALUES, property paths, and ``init_bindings``.
+UNION, MINUS, BIND, VALUES, property paths, and ``init_bindings`` — and
+the places where one solution mixes dictionary-ID and term cells: a BGP
+after an OPTIONAL, path endpoints bound by a triple, VALUES or
+``init_bindings``, zero-length paths from nodes absent from the graph,
+and ``=`` / ``!=`` between a VALUES-bound and a join-bound variable.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from repro.sparql import prepare
 EX = "http://example.org/"
 RDF_TYPE = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
 
-N_CASES = 240
+N_CASES = 390
 
 VARS = ["?a", "?b", "?c", "?d"]
 
@@ -176,6 +180,78 @@ def _shape_mixed(rng, subjects, predicates, classes):
     )
 
 
+_PATHS = ["ex:p0+", "ex:p1*", "^ex:p0", "ex:p0/ex:p1", "(ex:p0|ex:p1)", "(ex:p0/ex:p1)*"]
+
+
+def _shape_bgp_after_optional(rng, subjects, predicates, classes):
+    # The BGP after the OPTIONAL receives rows that bind different
+    # variables: some carry the optional ones, some do not.
+    base = _bgp(rng, subjects, predicates, classes, rng.randint(1, 2))
+    inner = _bgp(rng, subjects, predicates, classes, rng.randint(1, 2))
+    tail = _bgp(rng, subjects, predicates, classes, rng.randint(1, 2))
+    extra = _filter(rng) if rng.random() < 0.4 else ""
+    return (
+        f"SELECT * WHERE {{\n{base}\n  OPTIONAL {{\n{inner}\n  }}\n{tail}\n{extra}\n}}",
+        None,
+        False,
+    )
+
+
+def _shape_path_bound_endpoint(rng, subjects, predicates, classes):
+    path = rng.choice(_PATHS)
+    subject = f"ex:{rng.choice(subjects).local_name()}"
+    bindings = None
+    how = rng.choice(["triple", "values", "init", "optional"])
+    if how == "triple":
+        body = f"  {subject} ex:p0 ?b .\n  ?b {path} ?c ."
+    elif how == "values":
+        body = (
+            f"  VALUES ?b {{ {subject} ex:e1 ex:nowhere 3 }}\n"
+            f"  ?b {path} ?c ."
+        )
+    elif how == "init":
+        body = f"  ?b {path} ?c ."
+        bindings = {"b": rng.choice(subjects + [IRI(EX + "nowhere")])}
+    else:
+        body = f"  ?a ex:p0 ?b .\n  OPTIONAL {{ ?b {path} ?c }}"
+    extra = _bgp(rng, subjects, predicates, classes, 1) if rng.random() < 0.5 else ""
+    return f"SELECT * WHERE {{\n{body}\n{extra}\n}}", bindings, False
+
+
+def _shape_zero_length_absent(rng, subjects, predicates, classes):
+    # A zero-length path from a node the graph has never seen still
+    # matches the node itself.
+    pattern = rng.choice([
+        "  ex:nowhere ex:p0* ?o .",
+        "  ?s ex:p1* ex:nowhere .",
+        "  ex:nowhere (ex:p0|ex:p1)* ?o .",
+        "  ex:nowhere ^ex:p1* ?o .",
+        "  VALUES ?s { ex:nowhere ex:e0 } ?s ex:p0* ?o .",
+    ])
+    extra = "  OPTIONAL { ?o ex:p0 ?x }" if rng.random() < 0.5 else ""
+    return f"SELECT * WHERE {{\n{pattern}\n{extra}\n}}", None, False
+
+
+def _shape_mixed_equality(rng, subjects, predicates, classes):
+    # ?a holds terms (bound by VALUES), ?b / ?c hold IDs (bound by the
+    # join): a pushed-down =/!= compares a term cell with an ID cell.
+    body = _bgp(rng, subjects, predicates, classes, rng.randint(1, 2),
+                var_pool=["?b", "?c", "?d"])
+    constraint = rng.choice([
+        "FILTER ( ?a = ?b )",
+        "FILTER ( ?a != ?b )",
+        "FILTER ( ?a = ?c )",
+        "FILTER ( ?a != ?c || ?b = ex:e1 )",
+        "FILTER ( ?a = ?b && ?c != ex:e0 )",
+    ])
+    return (
+        "SELECT * WHERE {\n  VALUES ?a { ex:e0 ex:e1 ex:e2 ex:nowhere 1 3 }\n"
+        f"{body}\n  {constraint}\n}}",
+        None,
+        False,
+    )
+
+
 SHAPES = [
     _shape_bgp,
     _shape_filters,
@@ -186,6 +262,10 @@ SHAPES = [
     _shape_init_bindings,
     _shape_order_by,
     _shape_mixed,
+    _shape_bgp_after_optional,
+    _shape_path_bound_endpoint,
+    _shape_zero_length_absent,
+    _shape_mixed_equality,
 ]
 
 

@@ -161,6 +161,25 @@ class TestPatternParsing:
         assert isinstance(bind, BindPattern)
         assert bind.variable == Variable("s")
 
+    @pytest.mark.parametrize("preceding", [
+        "?c ex:p ?o .",
+        "OPTIONAL { ?c ex:p ?o }",
+        "{ ?x ex:p ?o } UNION { ?c ex:p ?o }",
+        "{ ?c ex:p ?o }",
+        "VALUES ?c { ex:a }",
+        "BIND (ex:a AS ?c)",
+    ])
+    def test_bind_onto_in_scope_variable_is_a_syntax_error(self, preceding):
+        # SPARQL 1.1 §18.2.1, independent of the data the query runs on.
+        with pytest.raises(SparqlSyntaxError):
+            parse("SELECT * WHERE { " + preceding + " BIND (ex:e0 AS ?c) }")
+
+    def test_bind_after_filter_minus_or_in_inner_group_is_allowed(self):
+        parse("SELECT * WHERE { ?s ex:p ?o . FILTER(?c) MINUS { ?c ex:p ?o } "
+              "BIND (ex:e0 AS ?c) }")
+        parse("SELECT * WHERE { ?c ex:p ?o . { BIND (ex:e0 AS ?c) } }")
+        parse("SELECT * WHERE { BIND (ex:e0 AS ?c) ?c ex:p ?o }")
+
     def test_values_single_variable(self):
         q = parse("SELECT ?s WHERE { VALUES ?s { ex:a ex:b } }")
         values = q.where.patterns[0]

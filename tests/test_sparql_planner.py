@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdf.graph import Graph, ReadOnlyGraphUnion
+from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.sparql import (
     parse_query,
@@ -82,6 +82,18 @@ class TestCompilePlan:
         )
         bgp = compile_plan(query).algebra.where.elements[0][0]
         assert bgp.reorderable is False
+
+    def test_path_beside_variable_predicate_pins_order(self, graph):
+        def first_bgp(text):
+            query = parse_query(
+                "PREFIX ex: <http://example.org/> SELECT * WHERE { " + text + " }",
+                graph.namespace_manager,
+            )
+            return compile_plan(query).algebra.where.elements[0][0]
+
+        assert first_bgp("?a ex:knows* ?b . ?c ?b ?d .").reorderable is False
+        assert first_bgp("?a ex:knows* ?b . ?b ex:age ?d .").reorderable is True
+        assert first_bgp("?a ex:knows ?b . ?c ?b ?d .").reorderable is True
 
     def test_plan_does_not_mutate_the_parsed_algebra(self, graph):
         query = parse_query(
@@ -180,6 +192,27 @@ class TestPlannedEvaluation:
         )
         assert len(list(result)) == 0
 
+    def test_every_bgp_joins_in_id_space(self, graph):
+        reset_planner_stats()
+        graph.query(
+            "PREFIX ex: <http://example.org/> SELECT * WHERE { "
+            "?p ex:knows+ ?q . OPTIONAL { ?q ex:city ?c } ?q ex:age ?a . }"
+        )
+        stats = planner_stats()
+        assert stats["bgps_evaluated"] >= 2
+        assert stats["encoded_bgps"] == stats["bgps_evaluated"]
+
+    def test_zero_length_path_beside_variable_predicate_matches_naive(self, graph):
+        # Naive order binds ?b to graph nodes only, none of which is a
+        # predicate; running the variable-predicate triple first would
+        # instead bind ?b to ex:knows and let the zero-length step match.
+        prepared = prepare(
+            "PREFIX ex: <http://example.org/> SELECT * WHERE { "
+            "?a ex:knows* ?b . ?c ?b ?d . }"
+        )
+        assert len(list(prepared.evaluate_naive(graph))) == 0
+        assert len(list(prepared.evaluate(graph))) == 0
+
     def test_init_bindings_drive_join_order(self, graph):
         result = graph.query(
             "PREFIX ex: <http://example.org/> SELECT ?city WHERE { "
@@ -187,29 +220,6 @@ class TestPlannedEvaluation:
             initBindings={"p": ex("bob")},
         )
         assert [str(row["city"]) for row in result] == [EX + "Troy"]
-
-    def test_union_of_graphs_still_plans(self, graph):
-        extra = Graph()
-        extra.add((ex("eve"), ex("age"), Literal(30)))
-        union = ReadOnlyGraphUnion(graph, extra)
-        result = union.query(
-            "PREFIX ex: <http://example.org/> SELECT ?p WHERE { ?p ex:age ?a }"
-        )
-        assert len(list(result)) == 5
-
-    def test_plain_triple_store_without_cardinality_falls_back(self):
-        class MinimalStore:
-            def __init__(self, graph):
-                self._graph = graph
-
-            def triples(self, pattern):
-                return self._graph.triples(pattern)
-
-        g = Graph()
-        g.add((ex("s"), ex("p"), ex("o")))
-        prepared = prepare("PREFIX ex: <http://example.org/> SELECT * WHERE { ?s ex:p ?o }")
-        result = prepared.evaluate(MinimalStore(g))
-        assert len(list(result)) == 1
 
 
 # ---------------------------------------------------------------------------
