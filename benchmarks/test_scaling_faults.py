@@ -1,8 +1,8 @@
 """Fault-tolerance gate: seeded chaos against the sharded serving fleet.
 
 The robustness claim the serving layer makes is *differential*: under
-injected worker crashes, latency spikes and transient query errors the
-fleet may slow down, but it must never return a wrong answer, never hang
+injected latency spikes and transient query errors the fleet may slow
+down, but it must never return a wrong answer, never hang
 a request, and must recover to within 2x of its fault-free tail latency
 once the faults stop.  This gate measures exactly that, with the
 deterministic seeded injector from :mod:`repro.testing.faults`:
@@ -14,12 +14,11 @@ deterministic seeded injector from :mod:`repro.testing.faults`:
    deliberately *torn* second save must leave that snapshot byte-intact.
 2. **Fault-free baseline** — the fleet cold-starts from the snapshot and
    serves the mixed-tenant workload cleanly; client-side p99 recorded.
-3. **Chaos phase** — the same fleet, same workload, with seeded worker
-   crashes, latency spikes and transient query errors active.  Clients
-   are well-behaved: they honour ``Retry-After`` on 503-family errors
+3. **Chaos phase** — the same fleet, same workload, with seeded
+   latency spikes and transient query errors active.  Clients are
+   well-behaved: they honour ``Retry-After`` on 503-family errors
    instead of hot-looping.  Every request must eventually succeed with
-   the oracle's exact text; the watchdog must restore the full worker
-   complement.
+   the oracle's exact text.
 4. **Breaker phase** — a dense burst of injected failures at one
    tenant's home shard must open its circuit breaker (fast typed
    rejections, no queue pile-up), and the shard must close again via a
@@ -65,8 +64,8 @@ from repro.users.personas import paper_context, paper_user
 
 QUESTION = "Why should I eat Cauliflower Potato Curry?"
 
-#: Fixed-size KG: sets the per-request reasoning cost (the thing crashes
-#: interrupt and retries re-pay); the smoke scale shrinks traffic volume.
+#: Fixed-size KG: sets the per-request reasoning cost (the thing retries
+#: re-pay); the smoke scale shrinks traffic volume.
 KG_EXTRA_RECIPES = 120
 KG_EXTRA_INGREDIENTS = 60
 
@@ -79,10 +78,8 @@ TENANTS = max(8, scaled(24))
 PHASE_REQUESTS = max(48, scaled(300))
 #: One seed drives the injector, the breaker jitter and the retry jitter.
 SEED = 1337
-#: Chaos mix: worker crashes kill a thread mid-request (salvaged +
-#: restarted), latency spikes stretch the query path, transient errors
+#: Chaos mix: latency spikes stretch the query path, transient errors
 #: exercise the internal idempotent-ask retry.
-CRASH_PROB = 0.04
 SPIKE_PROB = 0.08
 SPIKE_MS = 40.0
 ERROR_PROB = 0.03
@@ -242,8 +239,6 @@ def test_fleet_serves_correctly_under_seeded_chaos(tmp_path):
         retry_backoff=0.02,
         breaker_failure_threshold=4,
         breaker_cooldown=0.2,
-        wedge_timeout=60.0,
-        watchdog_interval=0.05,
         fault_seed=SEED,
     )
     fleet.warm([(question, tenant, context) for tenant in tenants])
@@ -256,40 +251,30 @@ def test_fleet_serves_correctly_under_seeded_chaos(tmp_path):
     p99_clean = _p99(base_lat)
 
     # ------------------------------------------------------------------
-    # Phase 3: seeded chaos — crashes, latency spikes, transient errors.
+    # Phase 3: seeded chaos — latency spikes, transient errors.
     # ------------------------------------------------------------------
     chaos = FaultInjector(faults=[
-        Fault(site="worker", action="crash", prob=CRASH_PROB),
         Fault(site="query", action="latency", prob=SPIKE_PROB,
               delay_ms=SPIKE_MS),
         Fault(site="query", action="error", prob=ERROR_PROB),
+        # The query site is the only one drawing from the seeded stream,
+        # so the draws are a fixed sequence: with SEED none of the first
+        # 60 hits errors, which leaves a smoke-scale phase without one.
+        # One error and one spike on the first hits keep both recovery
+        # paths exercised at every scale.
+        Fault(site="query", action="error", at=(0,)),
+        Fault(site="query", action="latency", at=(1,), delay_ms=SPIKE_MS),
     ], seed=SEED)
     with injected(chaos):
         chaos_lat, chaos_ans, chaos_fail, chaos_retries, chaos_hung = _drive(
             fleet, tenants, context, PHASE_REQUESTS)
     _check_phase("chaos", oracle, chaos_lat, chaos_ans, chaos_fail,
                  chaos_hung, PHASE_REQUESTS)
-    crashes = len(chaos.fired_at("worker"))
     spikes = sum(1 for _, action, _ in chaos.fired_at("query")
                  if action == "latency")
     errors = sum(1 for _, action, _ in chaos.fired_at("query")
                  if action == "error")
-    assert crashes > 0, "the seeded chaos run never killed a worker"
     assert spikes > 0 and errors > 0, "the seeded chaos run was too quiet"
-
-    # The watchdog must restore the full worker complement.
-    full_complement = NUM_SHARDS * WORKERS_PER_SHARD
-    recovery_deadline = time.monotonic() + 30.0
-    while time.monotonic() < recovery_deadline:
-        stats = fleet.stats()
-        if stats.workers_live == full_complement:
-            break
-        time.sleep(0.05)
-    stats = fleet.stats()
-    assert stats.workers_live == full_complement, \
-        f"watchdog left {full_complement - stats.workers_live} workers dead"
-    assert stats.workers_restarted >= crashes, \
-        "every crashed worker must be restarted"
 
     # ------------------------------------------------------------------
     # Phase 4: a dense failure burst opens one shard's breaker, which
@@ -349,9 +334,8 @@ def test_fleet_serves_correctly_under_seeded_chaos(tmp_path):
     assert faults.ACTIVE is None
 
     print(f"\nfault gate: {3 * PHASE_REQUESTS} requests over {TENANTS} tenants "
-          f"(scale {BENCH_SCALE}); chaos injected {crashes} crashes / "
+          f"(scale {BENCH_SCALE}); chaos injected "
           f"{spikes} spikes / {errors} errors, {chaos_retries} client retries; "
-          f"{final.workers_restarted} workers restarted, "
           f"{final.breaker_opens} breaker opens; "
           f"p99 clean {p99_clean * 1000:.1f} ms -> chaos "
           f"{_p99(chaos_lat) * 1000:.1f} ms -> recovered "
@@ -362,15 +346,12 @@ def test_fleet_serves_correctly_under_seeded_chaos(tmp_path):
         "workers_per_shard": WORKERS_PER_SHARD,
         "phase_requests": PHASE_REQUESTS,
         "seed": SEED,
-        "crash_prob": CRASH_PROB,
         "spike_prob": SPIKE_PROB,
         "spike_ms": SPIKE_MS,
         "error_prob": ERROR_PROB,
-        "injected_crashes": crashes,
         "injected_spikes": spikes,
         "injected_errors": errors,
         "client_retries_under_chaos": chaos_retries,
-        "workers_restarted": final.workers_restarted,
         "breaker_opens": final.breaker_opens,
         "incorrect_answers": 0,
         "hung_requests": 0,

@@ -100,25 +100,27 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=4,
                        help="independent service shards in --port mode (default: 4)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="worker threads per shard in --port mode (default: 2)")
+                       help="requests running at once per shard in --port mode; "
+                            "each runs on its connection's thread (default: 2)")
     serve.add_argument("--queue-size", type=int, default=64,
-                       help="bounded per-shard request queue; a full queue sheds "
-                            "load with a 503 backpressure error (default: 64)")
+                       help="requests that may wait per shard for a free slot; "
+                            "the next one is shed with a 503 backpressure error "
+                            "(default: 64)")
     serve.add_argument("--session-ttl", type=float, default=None,
                        help="evict sessions idle for this many seconds "
                             "(default: no TTL)")
     serve.add_argument("--request-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-request deadline in --port mode: a miss "
-                            "returns a typed 504 and queued-but-expired work "
-                            "is skipped (default: unbounded; a request's own "
-                            "'timeout' field overrides)")
+                            "returns a typed 504 and a request still waiting "
+                            "for a slot is skipped (default: unbounded; a "
+                            "request's own 'timeout' field overrides)")
     serve.add_argument("--drain-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="graceful-drain bound on shutdown in --port mode: "
-                            "in-flight work gets this long, the rest is "
-                            "cancelled with a typed 503 (default: drain "
-                            "fully)")
+                            "in-flight work gets this long, requests still "
+                            "waiting are cancelled with a typed 503 (default: "
+                            "drain fully)")
     serve.add_argument("--snapshot", default=None, metavar="PATH",
                        help="cold-start from a snapshot file (see 'repro "
                             "snapshot save') instead of rebuilding the "
@@ -366,7 +368,7 @@ def _serve_http(engine: Optional[ExplanationEngine], args: argparse.Namespace) -
     server = ExplanationServer(service, host=args.host, port=args.port,
                                drain_timeout=args.drain_timeout)
     print(f"serving on {server.url} "
-          f"({args.shards} shards x {args.workers} workers, "
+          f"({args.shards} shards x {args.workers} concurrent requests, "
           f"queue {args.queue_size}/shard)", file=sys.stderr)
     try:
         server.serve_forever()

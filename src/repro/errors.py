@@ -10,7 +10,7 @@ mode the transport has to distinguish its own exception family:
 * :class:`UnavailableError` — the service cannot take the request right
   now but a retry may succeed (HTTP 503 with ``Retry-After``): shard
   queue backpressure, an open circuit breaker, a draining fleet, or a
-  typed transient failure such as a lost worker;
+  typed transient failure such as an injected fault;
 * :class:`DeadlineExceededError` — the request's deadline expired before
   a result was produced (HTTP 504);
 * anything else escaping a handler is an internal bug and must surface
@@ -33,7 +33,6 @@ __all__ = [
     "ShardUnavailableError",
     "ServiceDrainingError",
     "TransientServingError",
-    "WorkerLostError",
     "DeadlineExceededError",
 ]
 
@@ -115,8 +114,8 @@ class ShardUnavailableError(UnavailableError):
 class ServiceDrainingError(UnavailableError):
     """The service is draining (or stopped): new work is rejected.
 
-    Also set on the futures of queued-but-unstarted work that a bounded
-    :meth:`stop(timeout=...)` cancelled when the drain deadline expired.
+    Also raised to callers still waiting for a shard slot when a bounded
+    :meth:`stop(timeout=...)` reaches its drain deadline.
     """
 
     reason = "draining"
@@ -126,8 +125,8 @@ class TransientServingError(UnavailableError):
     """A request failed for a reason unrelated to the request itself.
 
     The typed "infrastructure hiccup" family: the work was accepted but
-    did not complete because of a fault in the serving machinery (a lost
-    worker, an injected chaos fault) rather than anything the client
+    did not complete because of a fault in the serving machinery (such as
+    an injected chaos fault) rather than anything the client
     sent.  An **idempotent** retry may succeed — the sharded service
     retries asks (never updates) on this family with jittered
     exponential backoff.
@@ -136,22 +135,12 @@ class TransientServingError(UnavailableError):
     reason = "transient"
 
 
-class WorkerLostError(TransientServingError):
-    """The worker executing (or about to execute) this request died.
-
-    The request was never (fully) executed, so retrying an idempotent
-    ask is safe.  The watchdog restarts the worker independently.
-    """
-
-    reason = "worker_lost"
-
-
 class DeadlineExceededError(RuntimeError):
     """The request's deadline expired before a result was produced.
 
-    Raised to the caller when the per-request timeout elapses, and set on
-    queued work that expired before a worker picked it up (expired work
-    is skipped, never executed).  Transports map it to HTTP 504.
+    Raised to a caller whose deadline passes while it waits for a shard
+    slot (the work is skipped, never executed), or whose work finishes
+    after the deadline.  Transports map it to HTTP 504.
     """
 
     def __init__(self, message: str, *, timeout: Optional[float] = None,

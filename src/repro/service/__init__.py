@@ -4,11 +4,11 @@ This package turns the single-request :class:`repro.core.engine.ExplanationEngin
 into a service suitable for heavy interactive traffic:
 
 * :class:`ExplanationService` — one cached, session-aware instance;
-* :class:`ShardedExplanationService` — N independent shards behind
-  bounded worker queues, with snapshot-isolated reads, typed
-  :class:`BackpressureError` load shedding, per-request deadlines,
-  worker supervision, per-shard :class:`CircuitBreaker`\\ s and graceful
-  drain (see ``docs/architecture.md`` § Failure model);
+* :class:`ShardedExplanationService` — N independent shards, each an
+  admission gate that runs work on the caller's thread, with
+  snapshot-isolated reads, typed :class:`BackpressureError` load
+  shedding, per-request deadlines, per-shard :class:`CircuitBreaker`\\ s
+  and graceful drain (see ``docs/architecture.md`` § Failure model);
 * :class:`ExplanationServer` — the HTTP/JSON transport over the shards
   (503 + ``Retry-After`` for the unavailable family, 504 for deadline
   misses).
@@ -23,7 +23,6 @@ from ..errors import (
     ShardUnavailableError,
     TransientServingError,
     UnavailableError,
-    WorkerLostError,
 )
 from .api import BackpressureError, ExplanationRequest, ExplanationResponse, ServiceStats
 from .server import ExplanationServer
@@ -46,5 +45,4 @@ __all__ = [
     "ShardedExplanationService",
     "TransientServingError",
     "UnavailableError",
-    "WorkerLostError",
 ]

@@ -26,9 +26,8 @@ __all__ = [
 class BackpressureError(UnavailableError):
     """The service shed this request instead of queueing it.
 
-    Raised by admission control when a service instance is already at its
-    in-flight limit (``ExplanationService(max_pending=...)``) or when a
-    shard's bounded request queue is full
+    Raised by a shard's admission gate when its bounded queue of callers
+    waiting for a slot is full
     (:class:`repro.service.shards.ShardedExplanationService`).  It is a
     *typed*, expected overload signal — part of the retryable
     :class:`~repro.errors.UnavailableError` 503 family, so transports map
@@ -87,10 +86,9 @@ class ExplanationResponse:
     session_id: Optional[str] = None
     scenario_cache_hit: bool = False
     elapsed_seconds: float = 0.0
-    #: The scenario the explanation was generated from.  With snapshot
-    #: reads enabled this is the caller's private COW view — inspecting it
-    #: (or even mutating it) can never affect the service's caches or other
-    #: requests.  In-process only; :meth:`summary` deliberately omits it.
+    #: The scenario the explanation was generated from: the caller's
+    #: private COW view — inspecting it (or even mutating it) can never
+    #: affect the service's caches or other requests.  In-process only; :meth:`summary` deliberately omits it.
     scenario: Optional[Any] = None
 
     @property
@@ -124,22 +122,13 @@ class ServiceStats:
     #: Requests shed by admission control (never served; see
     #: :class:`BackpressureError`).
     requests_rejected: int = 0
-    #: Requests whose deadline expired while the caller was waiting on the
-    #: result (:class:`~repro.errors.DeadlineExceededError` raised to the
-    #: caller).
+    #: Requests that missed their deadline
+    #: (:class:`~repro.errors.DeadlineExceededError` raised to the caller):
+    #: either still waiting for a shard slot, or finished too late.
     requests_timed_out: int = 0
-    #: Queued requests whose deadline had already expired when a worker
-    #: dequeued them; skipped before execution, never run.
-    requests_expired: int = 0
-    #: Queued requests cancelled by a bounded drain
-    #: (``stop(timeout=...)``) before any worker picked them up.
+    #: Callers still waiting for a shard slot when a bounded drain
+    #: (``stop(timeout=...)``) reached its deadline; never run.
     requests_cancelled: int = 0
-    #: Worker threads currently alive for this instance's shard (0 for an
-    #: unsharded service, which has no workers).
-    workers_live: int = 0
-    #: Worker threads the watchdog restarted (dead) or retired-and-replaced
-    #: (wedged) over the instance's lifetime.
-    workers_restarted: int = 0
     #: Circuit-breaker telemetry for this instance's shard:
     #: ``{"state": "closed|open|half_open", "opens": ..., "failures": ...,
     #: "timeouts": ..., "rejected_fast": ...}`` (empty for an unsharded
@@ -166,8 +155,8 @@ class ServiceStats:
     #: small sample count or an outsized max flags numbers not to trust
     #: as steady-state.
     latency_ms: Dict[str, float] = field(default_factory=dict)
-    #: Pending requests in this instance's shard queue (0 for an unsharded
-    #: service, which has no queue).
+    #: Callers waiting for a slot on this instance's shard (0 for an
+    #: unsharded service, which has no admission gate).
     queue_depth: int = 0
 
     def to_text(self) -> str:
@@ -176,11 +165,8 @@ class ServiceStats:
             f"requests served:        {self.requests_served}",
             f"requests rejected:      {self.requests_rejected} (backpressure)",
             f"requests timed out:     {self.requests_timed_out} "
-            f"({self.requests_expired} expired in queue, "
-            f"{self.requests_cancelled} cancelled by drain)",
-            f"workers:                {self.workers_live} live / "
-            f"{self.workers_restarted} restarted; breaker "
-            f"{self.breaker.get('state', 'n/a')} "
+            f"({self.requests_cancelled} cancelled by drain)",
+            f"breaker:                {self.breaker.get('state', 'n/a')} "
             f"({self.breaker.get('opens', 0)} opens, "
             f"{self.breaker.get('rejected_fast', 0)} fast-failed)",
             f"serve latency:          p50 {self.latency_ms.get('p50', 0.0):.1f} ms / "

@@ -16,12 +16,13 @@ repo's no-new-dependencies rule):
                       ``"conditions"|"goals": [...]}`` → updated profile
 ====================  =====================================================
 
-Connection handling is threaded (one accept thread per connection), but
-the *work* is admission-controlled: a handler immediately enqueues the
-request on its session's shard and waits on the result, so a full shard
-queue surfaces as an immediate **503** carrying the typed
-:class:`~repro.service.api.BackpressureError` payload — clients see a
-retryable JSON error, never a growing backlog or a traceback.
+Connection handling is threaded (one handler thread per connection), and
+the handler thread runs its request itself once the home shard admits
+it: each shard lets a bounded number of calls run and a bounded number
+wait for a slot, so a full shard surfaces as an immediate **503**
+carrying the typed :class:`~repro.service.api.BackpressureError`
+payload — clients see a retryable JSON error, never a growing backlog
+or a traceback.
 
 The full status taxonomy mirrors ``repro.errors``:
 
@@ -31,9 +32,11 @@ The full status taxonomy mirrors ``repro.errors``:
   in the JSON body, so clients can back off instead of hot-looping;
 * a :class:`~repro.errors.DeadlineExceededError` maps to **504** (the
   per-request deadline comes from the fleet's ``request_timeout`` or the
-  request's own ``"timeout"`` field, in seconds);
-* malformed requests (bad JSON, unparseable questions, unknown
-  foods/personas) raise the typed :class:`~repro.errors.RequestError`
+  request's own ``"timeout"`` field, in seconds).  A request still
+  waiting for a shard slot gets it at the deadline; a request already
+  running is not interrupted, so its 504 comes when it finishes;
+* malformed requests (bad JSON, including bodies nested too deeply to
+  decode, unparseable questions, unknown foods/personas) raise the typed :class:`~repro.errors.RequestError`
   family and map to **400** with a JSON error body;
 * *anything else* escaping a handler is an internal bug: it returns
   **500**, logs the full traceback, and bumps the ``internal_errors``
@@ -109,7 +112,10 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
-        payload = json.loads(raw.decode("utf-8"))
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except RecursionError:
+            raise ValueError("request body is nested too deeply") from None
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
@@ -309,8 +315,8 @@ class ExplanationServer:
         The service drains *before* the listener closes: from the first
         moment new ``POST`` work is rejected with 503 ``reason:
         "draining"`` while in-flight requests finish (bounded by
-        ``timeout``, default ``drain_timeout``); queued work past the
-        deadline is cancelled with a typed error.  Only then does the
+        ``timeout``, default ``drain_timeout``); requests still waiting
+        for a shard slot at the deadline fail with a typed error.  Only then does the
         listener stop accepting connections.
         """
         self.service.stop(timeout=timeout if timeout is not None

@@ -48,7 +48,7 @@ from ..users.context import SystemContext
 from ..users.personas import persona as persona_lookup
 from ..users.profile import UserProfile
 from ..users.sessions import SessionRegistry, UserSession
-from .api import BackpressureError, ExplanationRequest, ExplanationResponse, ServiceStats
+from .api import ExplanationRequest, ExplanationResponse, ServiceStats
 
 __all__ = ["ExplanationService", "percentile"]
 
@@ -75,14 +75,10 @@ class ExplanationService:
         max_cached_scenarios: int = 64,
         registry: Optional[SessionRegistry] = None,
         default_persona: str = "paper",
-        snapshot_reads: bool = True,
-        max_pending: Optional[int] = None,
         latency_window: int = 2048,
     ) -> None:
         if max_cached_scenarios <= 0:
             raise ValueError("max_cached_scenarios must be positive")
-        if max_pending is not None and max_pending <= 0:
-            raise ValueError("max_pending must be positive (or None for unbounded)")
         self._engine = engine
         self._catalog = catalog
         self._engine_lock = threading.Lock()
@@ -95,23 +91,12 @@ class ExplanationService:
         # plain serving never takes this lock.
         self._update_lock = threading.Lock()
         self.max_cached_scenarios = max_cached_scenarios
-        #: Serve explanations against a copy-on-write snapshot of the cached
-        #: scenario, so concurrent readers are isolated from any later write
-        #: to the graphs they are querying (see :meth:`Scenario.snapshot`).
-        self.snapshot_reads = snapshot_reads
-        #: Admission control: with ``max_pending`` set, at most that many
-        #: requests may be in flight at once — the next one is shed with a
-        #: typed :class:`BackpressureError` instead of queueing behind them.
-        self.max_pending = max_pending
-        self._inflight = 0
-        self._admission_lock = threading.Lock()
         # Guards the latency window: list(deque) raises if a concurrent
         # append mutates the deque mid-iteration, so both the record and
         # the snapshot take this lock.
         self._latency_lock = threading.Lock()
         self._latencies: Deque[float] = deque(maxlen=latency_window)
         self.requests_served = 0
-        self.requests_rejected = 0
         self.scenario_cache_hits = 0
         self.scenario_cache_misses = 0
         self.scenario_updates = 0
@@ -234,67 +219,42 @@ class ExplanationService:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _admit(self) -> None:
-        """Count one request in; shed it if the in-flight limit is reached."""
-        with self._admission_lock:
-            if self.max_pending is not None and self._inflight >= self.max_pending:
-                self.requests_rejected += 1
-                raise BackpressureError(
-                    f"service is at its in-flight limit ({self.max_pending} pending); "
-                    "retry later",
-                    scope="service",
-                    queue_depth=self._inflight,
-                    limit=self.max_pending,
-                )
-            self._inflight += 1
-
-    def _release(self) -> None:
-        with self._admission_lock:
-            self._inflight -= 1
-
     def explain(self, request: ExplanationRequest) -> ExplanationResponse:
         """Serve one request through every cache layer.
 
         Reads are **snapshot-isolated**: the scenario is fetched (or built)
-        once, then — with :attr:`snapshot_reads` on — the generators run
-        against copy-on-write :meth:`~repro.rdf.graph.Graph.copy` snapshots
-        of its graphs, so a concurrent :meth:`update_scenario` can never be
-        observed mid-flight and reads never wait on the update lock.
-        Raises :class:`BackpressureError` (without doing any work) when the
-        in-flight limit is reached.
+        once, then the generators run against copy-on-write
+        :meth:`~repro.rdf.graph.Graph.copy` snapshots of its graphs, so a
+        concurrent :meth:`update_scenario` can never be observed mid-flight
+        and reads never wait on the update lock.
         """
-        self._admit()
-        try:
-            start = time.perf_counter()
-            user, context, session = self._resolve(request)
-            question = parse_question(request.question)
-            scenario, hit = self._scenario(question, user, context)
-            if self.snapshot_reads:
-                scenario = scenario.snapshot()
-            if faults.ACTIVE is not None:
-                faults.ACTIVE.fire("query", question=question.question_type)
-            explanation = self.engine.explain(
-                question, user, context,
-                explanation_type=request.explanation_type,
-                scenario=scenario,
-            )
-            if session is not None:
-                session.record_question(request.question)
-            elapsed = time.perf_counter() - start
-            with self._scenario_lock:
-                self.requests_served += 1
-            with self._latency_lock:
-                self._latencies.append(elapsed)
-            return ExplanationResponse(
-                request=request,
-                explanation=explanation,
-                session_id=session.session_id if session is not None else None,
-                scenario_cache_hit=hit,
-                elapsed_seconds=elapsed,
-                scenario=scenario,
-            )
-        finally:
-            self._release()
+        start = time.perf_counter()
+        user, context, session = self._resolve(request)
+        question = parse_question(request.question)
+        scenario, hit = self._scenario(question, user, context)
+        scenario = scenario.snapshot()
+        if faults.ACTIVE is not None:
+            faults.ACTIVE.fire("query", question=question.question_type)
+        explanation = self.engine.explain(
+            question, user, context,
+            explanation_type=request.explanation_type,
+            scenario=scenario,
+        )
+        if session is not None:
+            session.record_question(request.question)
+        elapsed = time.perf_counter() - start
+        with self._scenario_lock:
+            self.requests_served += 1
+        with self._latency_lock:
+            self._latencies.append(elapsed)
+        return ExplanationResponse(
+            request=request,
+            explanation=explanation,
+            session_id=session.session_id if session is not None else None,
+            scenario_cache_hit=hit,
+            elapsed_seconds=elapsed,
+            scenario=scenario,
+        )
 
     def ask(
         self,
@@ -441,7 +401,6 @@ class ExplanationService:
         samples = self.latency_snapshot()
         return ServiceStats(
             requests_served=self.requests_served,
-            requests_rejected=self.requests_rejected,
             scenario_cache_hits=self.scenario_cache_hits,
             scenario_cache_misses=self.scenario_cache_misses,
             scenario_updates=self.scenario_updates,

@@ -12,10 +12,12 @@ owning
   encoded family, so the ontology + knowledge graph is stored once;
 * its own scenario cache, :class:`~repro.users.sessions.SessionRegistry`
   and statistics counters;
-* a **bounded request queue** drained by a pool of worker threads —
-  admission control: a full queue sheds the request with a typed
+* an **admission gate** — the work runs on the calling thread, at most
+  ``workers`` calls at once, with up to ``queue_size`` more waiting for a
+  slot in arrival order; the next caller is shed with a typed
   :class:`~repro.service.api.BackpressureError` instead of letting
-  latency grow without bound.
+  latency grow without bound.  Under the GIL a separate worker pool
+  would add a thread hop per request, not parallelism.
 
 Routing is stable and stateless: a session id minted by this layer is
 ``s<shard>:<n>``, so any front-end thread can route a follow-up request
@@ -35,16 +37,12 @@ update lock.
 
 Failure model (see ``docs/architecture.md`` § Failure model):
 
-* **Deadlines** — :meth:`ServiceShard.submit`/:meth:`~ServiceShard.call`
-  take a per-request ``timeout``; a caller that waits past it gets a
-  typed :class:`~repro.errors.DeadlineExceededError` and queued work
-  whose deadline already expired is skipped before execution, so a
-  deadline miss never wedges a caller or wastes a worker.
-* **Supervision** — each worker keeps a :class:`_WorkerState` heartbeat;
-  :meth:`ServiceShard.supervise` (driven by the fleet's watchdog thread)
-  restarts dead workers and retires-and-replaces wedged ones (a Python
-  thread cannot be killed, so a wedged worker is abandoned to finish or
-  not while a fresh one takes its slot).
+* **Deadlines** — :meth:`ServiceShard.submit` takes a per-request
+  ``timeout``; a caller whose deadline passes while it waits for a slot
+  gets a typed :class:`~repro.errors.DeadlineExceededError` without
+  running.  Work that has started is never interrupted: if it finishes
+  past the deadline, the same error is raised then (its cache fills are
+  kept).
 * **Circuit breaker** — consecutive failures or sustained deadline
   misses open the shard's :class:`CircuitBreaker`; callers then fail
   fast with :class:`~repro.errors.ShardUnavailableError` carrying a
@@ -54,10 +52,9 @@ Failure model (see ``docs/architecture.md`` § Failure model):
 * **Retry** — the fleet retries **idempotent asks** (never updates) on
   :class:`~repro.errors.TransientServingError` with jittered exponential
   backoff, within the request's deadline.
-* **Graceful drain** — ``stop(timeout=...)`` first gates new submits
-  (fixing the submit/stop race where a request enqueued into a stopping
-  shard was never drained), waits for in-flight work up to the deadline,
-  then cancels the remainder with typed
+* **Graceful drain** — ``stop(timeout=...)`` first rejects new calls,
+  lets running calls and waiters finish until the deadline, then fails
+  the remaining waiters with a typed
   :class:`~repro.errors.ServiceDrainingError` so no caller is left
   hanging.  ``stop`` is idempotent and safe to call concurrently.
 """
@@ -66,15 +63,13 @@ from __future__ import annotations
 
 import gc
 import itertools
-import queue
 import random
 import threading
 import time
 import zlib
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import ExplanationEngine
 from ..core.scenario import Scenario, ScenarioBuilder
@@ -85,14 +80,11 @@ from ..errors import (
     ShardUnavailableError,
     TransientServingError,
     UnavailableError,
-    WorkerLostError,
 )
 from ..foodkg.catalog import build_core_catalog
 from ..foodkg.schema import FoodCatalog
 from ..owl import MaterializationCache
 from ..storage.snapshot import GraphSnapshot, load_snapshot
-from ..testing import faults
-from ..testing.faults import InjectedWorkerCrash
 from ..users.context import SystemContext
 from ..users.personas import persona as persona_lookup
 from ..users.profile import UserProfile
@@ -242,249 +234,148 @@ class CircuitBreaker:
             }
 
 
-class _WorkerState:
-    """One worker thread's heartbeat, as seen by the supervisor."""
+class _Waiter:
+    """One caller queued for a shard slot."""
 
-    __slots__ = ("thread", "name", "busy_since", "retired")
+    __slots__ = ("event", "state")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.thread: Optional[threading.Thread] = None
-        #: Monotonic time this worker started executing its current
-        #: request, or ``None`` while idle.  The watchdog reads it to
-        #: detect wedged workers.
-        self.busy_since: Optional[float] = None
-        #: Set by the watchdog when the worker is deemed wedged: if the
-        #: thread ever comes back to the queue it must exit instead of
-        #: taking more work (its slot has already been re-staffed).
-        self.retired = False
+    def __init__(self) -> None:
+        self.event = threading.Event()
+        #: ``"waiting"`` until a finishing call hands over its slot
+        #: (``"granted"``) or a bounded drain gives up (``"cancelled"``).
+        #: Written under the shard lock, then ``event`` is set.
+        self.state = "waiting"
 
 
 class ServiceShard:
-    """One shard: a private :class:`ExplanationService` behind a bounded queue."""
+    """One shard: a private :class:`ExplanationService` behind an admission gate.
+
+    :meth:`submit` runs the work on the caller's thread.  At most
+    ``workers`` calls execute at once; up to ``queue_size`` more wait for
+    a slot in arrival order, and the next caller is shed with a typed
+    :class:`BackpressureError`.
+    """
 
     def __init__(self, index: int, service: ExplanationService,
                  queue_size: int = 64, workers: int = 2, *,
-                 breaker: Optional[CircuitBreaker] = None,
-                 wedge_timeout: Optional[float] = 30.0) -> None:
+                 breaker: Optional[CircuitBreaker] = None) -> None:
         if queue_size <= 0:
             raise ValueError("queue_size must be positive")
         if workers <= 0:
             raise ValueError("workers must be positive")
         self.index = index
         self.service = service
-        self.queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
         self.queue_size = queue_size
         self.workers = workers
         self.breaker = breaker if breaker is not None else CircuitBreaker(index)
-        self.wedge_timeout = wedge_timeout
         self.rejected = 0
         self.timed_out = 0
-        self.expired = 0
         self.cancelled = 0
-        self.workers_restarted = 0
-        self._worker_states: List[_WorkerState] = []
-        self._retired: List[_WorkerState] = []
-        self._worker_seq = itertools.count()
-        self._started = False
-        #: True from the moment a stop() begins, forever: new submits are
-        #: rejected with ServiceDrainingError.  Never set on a shard that
-        #: was never started, which stays usable as a plain service.
+        # One lock guards the running count, the waiter queue, the
+        # draining flag and the counters above.  The draining check and
+        # the admission are one critical section, so a call cannot slip
+        # into a shard after stop() has begun.
+        self._lock = threading.Lock()
+        #: stop() waits on this for the running count to reach zero.
+        self._idle = threading.Condition(self._lock)
+        #: Calls holding a slot.  A finishing call hands its slot straight
+        #: to the oldest waiter, so waiters exist only while all
+        #: ``workers`` slots are held.
+        self._running = 0
+        self._waiters: Deque[_Waiter] = deque()
         self._stopping = False
-        # One lock makes the draining-check + enqueue in submit() atomic
-        # against stop() flipping _stopping — the fix for the race where a
-        # submit could slip into a stopping shard's queue after the drain
-        # pass and wait forever.  Also guards the worker-state lists.
-        self._gate = threading.Lock()
-        # Deadline counters (timed_out, expired) are bumped from caller
-        # threads and worker threads concurrently; `+=` on an attribute is
-        # not atomic, so without a lock two simultaneous timeouts can lose
-        # an increment.  A dedicated lock (never held while calling out)
-        # keeps these honest without entangling them with the _gate.
-        self._counter_lock = threading.Lock()
-        self._stopped_event = threading.Event()
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Admission
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        with self._gate:
-            if self._started or self._stopping:
-                return
-            self._started = True
-            for _ in range(self.workers):
-                self._spawn_worker_locked()
+    def submit(self, fn, *args, timeout: Optional[float] = None, **kwargs):
+        """Run ``fn(*args, **kwargs)`` on the caller's thread and return its result.
 
-    def _spawn_worker_locked(self) -> _WorkerState:
-        state = _WorkerState(f"shard-{self.index}-worker-{next(self._worker_seq)}")
-        thread = threading.Thread(target=self._work, args=(state,),
-                                  name=state.name, daemon=True)
-        state.thread = thread
-        self._worker_states.append(state)
-        thread.start()
-        return state
-
-    def stop(self, timeout: Optional[float] = None) -> None:
-        """Drain and stop the workers; bound the drain with ``timeout``.
-
-        With ``timeout=None`` the queue drains completely (every queued
-        request is served) before the workers exit.  With a bounded
-        timeout, work still queued when the deadline passes is cancelled
-        with a typed :class:`ServiceDrainingError` and counted in
-        ``requests_cancelled``; a worker wedged past the deadline is
-        abandoned (daemon thread) rather than joined forever.
-
-        Idempotent and safe to call concurrently: the first caller
-        drains, later callers wait for it to finish.
+        ``timeout`` (seconds) sets the request's deadline.  A caller still
+        waiting for a slot when it passes raises
+        :class:`DeadlineExceededError` without running ``fn``.  Work that
+        has started is never interrupted: if it finishes after the
+        deadline it raises the same error then, and keeps its side
+        effects (cache fills).  Raises :class:`ServiceDrainingError` once
+        the shard is stopping, :class:`ShardUnavailableError` while its
+        breaker is open and :class:`BackpressureError` when
+        ``queue_size`` callers are already waiting.
         """
-        with self._gate:
-            if not self._started:
-                if self._stopping:
-                    # A concurrent stop() is (or was) draining; wait it out.
-                    already = True
-                else:
-                    return  # never started: nothing to drain
-            elif self._stopping:
-                already = True
-            else:
-                self._stopping = True
-                already = False
-            active = [s for s in self._worker_states if not s.retired]
-        if already:
-            self._stopped_event.wait(timeout)
-            return
         deadline = None if timeout is None else time.monotonic() + timeout
-        if deadline is not None:
-            # Give in-flight and queued work until the deadline.
-            while time.monotonic() < deadline:
-                if self.queue.empty() and all(s.busy_since is None for s in active):
-                    break
-                time.sleep(0.005)
-            # Cancel whatever did not make it: claim each queued item away
-            # from the workers, then fail its future with a typed error.
-            while True:
-                try:
-                    item = self.queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is None:
-                    continue
-                future = item[0]
-                if future.set_running_or_notify_cancel():
-                    self.cancelled += 1
-                    future.set_exception(ServiceDrainingError(
-                        f"shard {self.index} drained before this request ran",
-                        scope="shard", shard=self.index))
-        for _ in active:
-            self.queue.put(None)  # blocking put: a sentinel is never shed
-        for state in active:
-            if deadline is None:
-                state.thread.join()
-            else:
-                state.thread.join(max(deadline - time.monotonic(), 0.05))
-        for state in self._retired:
-            # Wedged threads may never return; give them a token grace.
-            state.thread.join(0.05)
-        with self._gate:
-            self._worker_states = []
-            self._retired = []
-            self._started = False
-        self._stopped_event.set()
-
-    # ------------------------------------------------------------------
-    # Supervision
-    # ------------------------------------------------------------------
-    def supervise(self) -> int:
-        """One watchdog pass: restart dead workers, replace wedged ones.
-
-        Returns the number of workers restarted or replaced.  A dead
-        worker (its thread exited — a crash) is simply restarted.  A
-        wedged worker (executing one request for longer than
-        ``wedge_timeout``) cannot be killed — Python threads are not
-        interruptible — so it is *retired*: marked to exit if it ever
-        returns to the queue, and a fresh worker takes its slot so the
-        shard regains capacity immediately.
-        """
-        restarted = 0
-        with self._gate:
-            if not self._started or self._stopping:
-                return 0
-            now = time.monotonic()
-            for state in list(self._worker_states):
-                if not state.thread.is_alive():
-                    self._worker_states.remove(state)
-                    self._spawn_worker_locked()
-                    self.workers_restarted += 1
-                    restarted += 1
-                elif (self.wedge_timeout is not None
-                      and state.busy_since is not None
-                      and now - state.busy_since > self.wedge_timeout):
-                    state.retired = True
-                    self._worker_states.remove(state)
-                    self._retired.append(state)
-                    self._spawn_worker_locked()
-                    self.workers_restarted += 1
-                    restarted += 1
-        return restarted
-
-    def workers_live(self) -> int:
-        with self._gate:
-            return sum(1 for s in self._worker_states if s.thread.is_alive())
-
-    # ------------------------------------------------------------------
-    # Worker loop
-    # ------------------------------------------------------------------
-    def _work(self, state: _WorkerState) -> None:
-        in_hand = None
+        self._acquire(deadline, timeout)
         try:
-            while True:
-                item = self.queue.get()
-                if state.retired:
-                    # Our slot was re-staffed while we were wedged.  Hand
-                    # whatever we just took to a live worker and exit —
-                    # an orderly handoff, not a failure signal.
-                    if item is None:
-                        self.queue.put(None)
-                    else:
-                        self._salvage(item, record_failure=False)
-                    return
-                if item is None:
-                    return
-                in_hand = item
-                future, fn, args, kwargs, deadline = item
-                if deadline is not None and time.monotonic() > deadline:
-                    # Expired while queued: skip it, never execute it.
-                    self._expire(future)
-                    in_hand = None
-                    continue
-                injector = faults.ACTIVE
-                if injector is not None:
-                    injector.fire("worker", shard=self.index, worker=state.name)
-                if not future.set_running_or_notify_cancel():
-                    in_hand = None
-                    continue
-                state.busy_since = time.monotonic()
-                try:
-                    result = fn(*args, **kwargs)
-                except BaseException as exc:  # noqa: BLE001 - relayed via the future
-                    future.set_exception(exc)
-                    self._record_outcome(exc)
-                else:
-                    future.set_result(result)
-                    self._record_outcome(None)
-                finally:
-                    state.busy_since = None
-                in_hand = None
+            result = fn(*args, **kwargs)
         except BaseException as exc:
-            # The worker itself is dying — an injected crash, or a bug
-            # outside request execution.  Salvage the request it was
-            # holding so no caller hangs; the watchdog restores capacity.
-            state.busy_since = None
-            if in_hand is not None:
-                self._salvage(in_hand)
-            if isinstance(exc, InjectedWorkerCrash):
-                return  # simulated death: die quietly, like the real thing
+            self._record_outcome(exc)
             raise
+        finally:
+            self._release()
+        if deadline is not None and time.monotonic() > deadline:
+            raise self._deadline_missed(timeout, "finished after")
+        self._record_outcome(None)
+        return result
+
+    def _acquire(self, deadline: Optional[float], timeout: Optional[float]) -> None:
+        """Take a slot, waiting in arrival order for one if all are held."""
+        with self._lock:
+            if self._stopping:
+                raise ServiceDrainingError(
+                    f"shard {self.index} is draining; new work rejected",
+                    scope="shard", shard=self.index, retry_after=1.0)
+            self.breaker.acquire()
+            if self._running < self.workers:
+                self._running += 1
+                return
+            if len(self._waiters) >= self.queue_size:
+                self.rejected += 1
+                self.breaker.record_neutral()
+                raise BackpressureError(
+                    f"shard {self.index} queue is full "
+                    f"({self.queue_size} pending requests); retry later",
+                    scope="shard",
+                    shard=self.index,
+                    queue_depth=self.queue_size,
+                    limit=self.queue_size,
+                    retry_after=0.1,
+                )
+            waiter = _Waiter()
+            self._waiters.append(waiter)
+        waiter.event.wait(None if deadline is None else deadline - time.monotonic())
+        with self._lock:
+            state = waiter.state
+            if state == "waiting":
+                self._waiters.remove(waiter)
+        if state == "granted":
+            return
+        if state == "cancelled":
+            error = ServiceDrainingError(
+                f"shard {self.index} drained before this request ran",
+                scope="shard", shard=self.index)
+            self._record_outcome(error)
+            raise error
+        raise self._deadline_missed(timeout, "still waiting for a slot at")
+
+    def _release(self) -> None:
+        """Hand the caller's slot to the oldest waiter, or free it."""
+        with self._lock:
+            if self._waiters:
+                waiter = self._waiters.popleft()
+                waiter.state = "granted"
+                waiter.event.set()
+                return
+            self._running -= 1
+            if self._running == 0:
+                self._idle.notify_all()
+
+    def _deadline_missed(self, timeout: Optional[float], when: str) -> DeadlineExceededError:
+        """Count one deadline miss, tell the breaker, and build the error."""
+        with self._lock:
+            self.timed_out += 1
+        error = DeadlineExceededError(
+            f"shard {self.index}: {when} the {timeout:.3f}s deadline",
+            timeout=timeout, shard=self.index)
+        self._record_outcome(error)
+        return error
 
     def _record_outcome(self, exc: Optional[BaseException]) -> None:
         """Feed one completed request's outcome to the circuit breaker."""
@@ -497,122 +388,45 @@ class ServiceShard:
         elif isinstance(exc, TransientServingError):
             self.breaker.record_failure()
         elif isinstance(exc, UnavailableError):
-            # Shed work (service-level backpressure) says nothing about
-            # this shard's health.
+            # Shed or drained work says nothing about this shard's health.
             self.breaker.record_neutral()
         else:
             # An unexpected internal error is a shard failure signal.
             self.breaker.record_failure()
 
-    def _expire(self, future: "Future") -> None:
-        with self._counter_lock:
-            self.expired += 1
-        self.breaker.record_timeout()
-        if future.set_running_or_notify_cancel():
-            future.set_exception(DeadlineExceededError(
-                f"shard {self.index}: deadline expired while the request "
-                f"was still queued", shard=self.index))
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def stop(self, timeout: Optional[float] = None) -> None:
+        """Reject new calls, then let running calls and waiters finish.
 
-    def _salvage(self, item, record_failure: bool = True) -> None:
-        """Re-home the request a dying/retired worker was holding."""
-        future, _fn, _args, _kwargs, deadline = item
-        if future.done():
-            return
-        if record_failure:
-            self.breaker.record_failure()
-        if deadline is not None and time.monotonic() > deadline:
-            with self._counter_lock:
-                self.expired += 1
-            if future.set_running_or_notify_cancel():
-                future.set_exception(DeadlineExceededError(
-                    f"shard {self.index}: deadline expired while the request "
-                    f"awaited a replacement worker", shard=self.index))
-            return
-        try:
-            self.queue.put_nowait(item)
-        except queue.Full:
-            if future.set_running_or_notify_cancel():
-                future.set_exception(WorkerLostError(
-                    f"shard {self.index}: worker died before executing this "
-                    f"request and the queue is full", scope="shard",
-                    shard=self.index, retry_after=0.05))
+        With ``timeout=None`` every waiter is served.  With a bounded
+        timeout, callers still waiting for a slot when it passes fail
+        with a typed :class:`ServiceDrainingError` and are counted in
+        ``cancelled``; calls already running are left to finish.
+        Idempotent and safe to call concurrently.
+        """
+        with self._lock:
+            self._stopping = True
+            if self._idle.wait_for(lambda: self._running == 0, timeout):
+                return
+            while self._waiters:
+                waiter = self._waiters.popleft()
+                waiter.state = "cancelled"
+                waiter.event.set()
+                self.cancelled += 1
 
     # ------------------------------------------------------------------
-    def submit(self, fn, *args, timeout: Optional[float] = None, **kwargs) -> "Future":
-        """Enqueue one unit of work; shed it immediately if the queue is full.
-
-        ``timeout`` (seconds) sets the request's deadline: the caller's
-        wait is bounded (see :meth:`call`) and a worker that dequeues the
-        item after the deadline skips it instead of executing it.
-        Raises :class:`ServiceDrainingError` once the shard is stopping
-        and :class:`ShardUnavailableError` while its breaker is open.
-        """
-        future: Future = Future()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._gate:
-            if self._stopping:
-                raise ServiceDrainingError(
-                    f"shard {self.index} is draining; new work rejected",
-                    scope="shard", shard=self.index, retry_after=1.0)
-            self.breaker.acquire()
-            try:
-                self.queue.put_nowait((future, fn, args, kwargs, deadline))
-            except queue.Full:
-                self.rejected += 1
-                self.breaker.record_neutral()
-                raise BackpressureError(
-                    f"shard {self.index} queue is full "
-                    f"({self.queue_size} pending requests); retry later",
-                    scope="shard",
-                    shard=self.index,
-                    queue_depth=self.queue_size,
-                    limit=self.queue_size,
-                    retry_after=0.1,
-                ) from None
-        return future
-
-    def call(self, fn, *args, timeout: Optional[float] = None, **kwargs):
-        """Submit and wait: the synchronous serving path.
-
-        With a ``timeout``, a missed deadline raises a typed
-        :class:`DeadlineExceededError` (counted in ``requests_timed_out``)
-        and the queued work is cancelled so no worker wastes time on it.
-        """
-        if not self._started:
-            if self._stopping:
-                raise ServiceDrainingError(
-                    f"shard {self.index} is stopped; new work rejected",
-                    scope="shard", shard=self.index, retry_after=1.0)
-            # Direct execution keeps a stopped (or never-started) shard
-            # usable as a plain service, e.g. in single-threaded tools.
-            return fn(*args, **kwargs)
-        future = self.submit(fn, *args, timeout=timeout, **kwargs)
-        try:
-            return future.result(timeout)
-        except FutureTimeoutError:
-            future.cancel()
-            with self._counter_lock:
-                self.timed_out += 1
-            self.breaker.record_timeout()
-            raise DeadlineExceededError(
-                f"shard {self.index}: no result within the "
-                f"{timeout:.3f}s deadline", timeout=timeout,
-                shard=self.index) from None
-
     def queue_depth(self) -> int:
-        return self.queue.qsize()
+        """Callers waiting for a slot."""
+        return len(self._waiters)
 
     def stats(self) -> ServiceStats:
         stats = self.service.stats()
         stats.queue_depth = self.queue_depth()
-        # Queue-level sheds are counted here, service-level sheds inside the
-        # service; the shard's view is the sum of both.
-        stats.requests_rejected += self.rejected
+        stats.requests_rejected = self.rejected
         stats.requests_timed_out = self.timed_out
-        stats.requests_expired = self.expired
         stats.requests_cancelled = self.cancelled
-        stats.workers_live = self.workers_live()
-        stats.workers_restarted = self.workers_restarted
         stats.breaker = self.breaker.stats_dict()
         return stats
 
@@ -624,15 +438,12 @@ class FleetStats:
     requests_served: int = 0
     requests_rejected: int = 0
     requests_timed_out: int = 0
-    requests_expired: int = 0
     requests_cancelled: int = 0
     scenario_cache_hits: int = 0
     scenario_cache_misses: int = 0
     scenario_updates: int = 0
     active_sessions: int = 0
     session_rebuilds: int = 0
-    workers_live: int = 0
-    workers_restarted: int = 0
     breaker_opens: int = 0
     breaker_states: List[str] = field(default_factory=list)
     queue_depths: List[int] = field(default_factory=list)
@@ -646,11 +457,8 @@ class FleetStats:
             f"requests served:        {self.requests_served}",
             f"requests rejected:      {self.requests_rejected} (backpressure)",
             f"requests timed out:     {self.requests_timed_out} "
-            f"({self.requests_expired} expired in queue, "
-            f"{self.requests_cancelled} cancelled by drain)",
-            f"workers:                {self.workers_live} live / "
-            f"{self.workers_restarted} restarted; "
-            f"{self.breaker_opens} breaker opens {self.breaker_states}",
+            f"({self.requests_cancelled} cancelled by drain)",
+            f"breakers:               {self.breaker_opens} opens {self.breaker_states}",
             f"serve latency:          p50 {self.latency_ms.get('p50', 0.0):.1f} ms / "
             f"p99 {self.latency_ms.get('p99', 0.0):.1f} ms / "
             f"max {self.latency_ms.get('max_ms', 0.0):.1f} ms "
@@ -671,15 +479,12 @@ class FleetStats:
             "requests_served": self.requests_served,
             "requests_rejected": self.requests_rejected,
             "requests_timed_out": self.requests_timed_out,
-            "requests_expired": self.requests_expired,
             "requests_cancelled": self.requests_cancelled,
             "scenario_cache_hits": self.scenario_cache_hits,
             "scenario_cache_misses": self.scenario_cache_misses,
             "scenario_updates": self.scenario_updates,
             "active_sessions": self.active_sessions,
             "session_rebuilds": self.session_rebuilds,
-            "workers_live": self.workers_live,
-            "workers_restarted": self.workers_restarted,
             "breaker_opens": self.breaker_opens,
             "breaker_states": list(self.breaker_states),
             "queue_depths": list(self.queue_depths),
@@ -689,14 +494,11 @@ class FleetStats:
                     "requests_served": s.requests_served,
                     "requests_rejected": s.requests_rejected,
                     "requests_timed_out": s.requests_timed_out,
-                    "requests_expired": s.requests_expired,
                     "requests_cancelled": s.requests_cancelled,
                     "scenario_cache_hits": s.scenario_cache_hits,
                     "scenario_cache_misses": s.scenario_cache_misses,
                     "queue_depth": s.queue_depth,
                     "active_sessions": s.active_sessions,
-                    "workers_live": s.workers_live,
-                    "workers_restarted": s.workers_restarted,
                     "breaker": dict(s.breaker),
                 }
                 for s in self.shards
@@ -705,25 +507,24 @@ class FleetStats:
 
 
 class ShardedExplanationService:
-    """Hash-sharded, thread-pooled, snapshot-isolated explanation serving.
+    """Hash-sharded, admission-controlled, snapshot-isolated explanation serving.
 
     One instance fans requests out across ``num_shards`` independent
     :class:`ExplanationService` shards (see the module docstring for the
     isolation, routing and failure model).  The public surface mirrors
     the single-instance service — :meth:`ask`, :meth:`explain`,
-    :meth:`explain_batch`, :meth:`update_scenario`, session management,
-    :meth:`stats` — so callers and transports can swap one for the other.
+    :meth:`update_scenario`, session management, :meth:`stats` — so
+    callers and transports can swap one for the other.
 
+    ``workers_per_shard`` bounds the calls executing at once on each
+    shard and ``queue_size`` the callers waiting there for a slot.
     Fault-tolerance knobs: ``request_timeout`` is the default per-request
     deadline (``None`` = unbounded; per-call ``timeout=`` overrides);
     ``drain_timeout`` bounds :meth:`stop`; ``retry_attempts``/
     ``retry_backoff`` govern the internal retry of idempotent asks on
     :class:`TransientServingError`; ``breaker_*`` configure each shard's
-    :class:`CircuitBreaker`; ``wedge_timeout``/``watchdog_interval``
-    configure supervision (``watchdog_interval=None`` disables the
-    watchdog thread; call :meth:`supervise` manually, e.g. from tests).
-    ``fault_seed`` seeds every jitter source so chaos runs are
-    reproducible.
+    :class:`CircuitBreaker`.  ``fault_seed`` seeds every jitter source so
+    chaos runs are reproducible.
     """
 
     def __init__(
@@ -737,8 +538,6 @@ class ShardedExplanationService:
         closure_cache_size: int = 16,
         max_sessions_per_shard: int = 1024,
         session_ttl: Optional[float] = None,
-        snapshot_reads: bool = True,
-        start: bool = True,
         default_persona: str = "paper",
         snapshot=None,
         request_timeout: Optional[float] = None,
@@ -748,8 +547,6 @@ class ShardedExplanationService:
         breaker_failure_threshold: int = 5,
         breaker_timeout_threshold: int = 8,
         breaker_cooldown: float = 0.25,
-        wedge_timeout: Optional[float] = 30.0,
-        watchdog_interval: Optional[float] = 0.25,
         fault_seed: int = 0,
     ) -> None:
         if num_shards <= 0:
@@ -783,9 +580,6 @@ class ShardedExplanationService:
         self.retry_backoff = retry_backoff
         self._retry_rng = random.Random((fault_seed << 8) ^ 0xA5)
         self._retry_lock = threading.Lock()
-        self._watchdog_interval = watchdog_interval
-        self._watchdog: Optional[threading.Thread] = None
-        self._watchdog_stop = threading.Event()
         self._stop_lock = threading.Lock()
         self._stopped = False
         self._draining = False
@@ -803,7 +597,6 @@ class ShardedExplanationService:
                 registry=SessionRegistry(max_sessions=max_sessions_per_shard,
                                          idle_ttl=session_ttl),
                 default_persona=default_persona,
-                snapshot_reads=snapshot_reads,
             )
             breaker = CircuitBreaker(
                 index,
@@ -815,8 +608,7 @@ class ShardedExplanationService:
             self._shards.append(ServiceShard(index, service,
                                              queue_size=queue_size,
                                              workers=workers_per_shard,
-                                             breaker=breaker,
-                                             wedge_timeout=wedge_timeout))
+                                             breaker=breaker))
         self._session_counter = itertools.count(1)
         self._round_robin = itertools.count()
         self.default_persona = default_persona
@@ -835,8 +627,6 @@ class ShardedExplanationService:
             gc.collect()
             gc.freeze()
             self._froze_gc = True
-        if start:
-            self.start()
 
     def _seed_closures(self, loaded: GraphSnapshot) -> None:
         """Install snapshot closure entries into the shard caches.
@@ -860,28 +650,6 @@ class ShardedExplanationService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._draining:
-            return
-        for shard in self._shards:
-            shard.start()
-        if self._watchdog_interval is not None and self._watchdog is None:
-            self._watchdog = threading.Thread(
-                target=self._watch, name="fleet-watchdog", daemon=True)
-            self._watchdog.start()
-
-    def _watch(self) -> None:
-        while not self._watchdog_stop.wait(self._watchdog_interval):
-            for shard in self._shards:
-                try:
-                    shard.supervise()
-                except Exception:  # noqa: BLE001 - the watchdog must outlive anything
-                    pass
-
-    def supervise(self) -> int:
-        """Run one supervision pass over every shard (watchdog step)."""
-        return sum(shard.supervise() for shard in self._shards)
-
     @property
     def draining(self) -> bool:
         """True once a stop() has begun; transports 503 new work."""
@@ -891,9 +659,10 @@ class ShardedExplanationService:
         """Drain the fleet and stop every shard; see :meth:`ServiceShard.stop`.
 
         ``timeout`` (default ``drain_timeout``) bounds the *total* drain
-        across all shards; queued work past the deadline is cancelled with
-        :class:`ServiceDrainingError`.  Idempotent and safe to call
-        concurrently — later callers wait for the first drain to finish.
+        across all shards; callers still waiting for a slot at the
+        deadline fail with :class:`ServiceDrainingError`.  Idempotent and
+        safe to call concurrently — later callers wait for the first drain
+        to finish.
         """
         if timeout is None:
             timeout = self.drain_timeout
@@ -901,10 +670,6 @@ class ShardedExplanationService:
         with self._stop_lock:
             if self._stopped:
                 return
-            if self._watchdog is not None:
-                self._watchdog_stop.set()
-                self._watchdog.join(1.0)
-                self._watchdog = None
             deadline = None if timeout is None else time.monotonic() + timeout
             for shard in self._shards:
                 remaining = (None if deadline is None
@@ -920,7 +685,6 @@ class ShardedExplanationService:
             self._stopped = True
 
     def __enter__(self) -> "ShardedExplanationService":
-        self.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -1018,13 +782,14 @@ class ShardedExplanationService:
 
     def explain(self, request: ExplanationRequest,
                 timeout: Optional[float] = None) -> ExplanationResponse:
-        """Serve one request on its home shard's worker pool.
+        """Serve one request on its home shard, on the caller's thread.
 
         ``timeout`` (default ``request_timeout``) bounds the whole call,
-        retries included; expiry raises :class:`DeadlineExceededError`.
-        Asks are idempotent, so a :class:`TransientServingError` (e.g. a
-        lost worker) is retried up to ``retry_attempts`` times with
-        jittered exponential backoff before surfacing.  Raises
+        retries included; expiry raises :class:`DeadlineExceededError`
+        (for work already running, when it finishes).  Asks are
+        idempotent, so a :class:`TransientServingError` (e.g. an injected
+        fault) is retried up to ``retry_attempts`` times with jittered
+        exponential backoff before surfacing.  Raises
         :class:`BackpressureError` if the shard's queue is full and
         :class:`ShardUnavailableError` while its breaker is open (neither
         is retried internally — the caller owns that backoff); request-
@@ -1043,8 +808,8 @@ class ShardedExplanationService:
                     f"request deadline ({timeout:.3f}s) expired",
                     timeout=timeout, shard=shard.index)
             try:
-                return shard.call(shard.service.explain, request,
-                                  timeout=remaining)
+                return shard.submit(shard.service.explain, request,
+                                    timeout=remaining)
             except TransientServingError:
                 if attempt >= self.retry_attempts:
                     raise
@@ -1070,55 +835,10 @@ class ShardedExplanationService:
             user=user, context=context, explanation_type=explanation_type,
         ), timeout=timeout)
 
-    def explain_batch(self, requests: Sequence[ExplanationRequest],
-                      timeout: Optional[float] = None) -> List[ExplanationResponse]:
-        """Serve a batch across shards concurrently, preserving order.
-
-        All requests are enqueued up front (so shards work in parallel)
-        and the responses are gathered in request order.  A shed request
-        surfaces its :class:`BackpressureError` (or breaker/draining
-        rejection) when its slot is reached; ``timeout`` bounds the whole
-        batch.
-        """
-        if timeout is None:
-            timeout = self.request_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        futures: List[Tuple[ServiceShard, Optional[Future], Optional[UnavailableError]]] = []
-        for request in requests:
-            shard = self._shard_for_request(request)
-            try:
-                if shard._started:
-                    futures.append((shard, shard.submit(
-                        shard.service.explain, request, timeout=timeout), None))
-                else:
-                    # Degenerate unstarted mode: execute inline.
-                    result: Future = Future()
-                    result.set_result(shard.service.explain(request))
-                    futures.append((shard, result, None))
-            except UnavailableError as exc:
-                futures.append((shard, None, exc))
-        responses: List[ExplanationResponse] = []
-        for shard, future, rejection in futures:
-            if rejection is not None:
-                raise rejection
-            remaining = (None if deadline is None
-                         else max(deadline - time.monotonic(), 0.0))
-            try:
-                responses.append(future.result(remaining))
-            except FutureTimeoutError:
-                future.cancel()
-                with shard._counter_lock:
-                    shard.timed_out += 1
-                shard.breaker.record_timeout()
-                raise DeadlineExceededError(
-                    f"batch deadline ({timeout:.3f}s) expired",
-                    timeout=timeout, shard=shard.index) from None
-        return responses
-
     def update_scenario(self, question: str, session_id: Optional[str] = None,
                         persona: Optional[str] = None,
                         timeout: Optional[float] = None, **additions) -> Scenario:
-        """Apply a scenario update on the owning shard's worker pool.
+        """Apply a scenario update on the owning shard.
 
         Updates are **not** idempotent, so unlike :meth:`explain` they are
         never retried internally — a transient failure surfaces to the
@@ -1129,9 +849,9 @@ class ShardedExplanationService:
         request = ExplanationRequest(question=question, session_id=session_id,
                                      persona=persona)
         shard = self._shard_for_request(request)
-        return shard.call(shard.service.update_scenario, question,
-                          session_id=session_id, persona=persona,
-                          timeout=timeout, **additions)
+        return shard.submit(shard.service.update_scenario, question,
+                            session_id=session_id, persona=persona,
+                            timeout=timeout, **additions)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1150,15 +870,12 @@ class ShardedExplanationService:
             requests_served=sum(s.requests_served for s in per_shard),
             requests_rejected=sum(s.requests_rejected for s in per_shard),
             requests_timed_out=sum(s.requests_timed_out for s in per_shard),
-            requests_expired=sum(s.requests_expired for s in per_shard),
             requests_cancelled=sum(s.requests_cancelled for s in per_shard),
             scenario_cache_hits=sum(s.scenario_cache_hits for s in per_shard),
             scenario_cache_misses=sum(s.scenario_cache_misses for s in per_shard),
             scenario_updates=sum(s.scenario_updates for s in per_shard),
             active_sessions=sum(s.active_sessions for s in per_shard),
             session_rebuilds=sum(s.session_rebuilds for s in per_shard),
-            workers_live=sum(s.workers_live for s in per_shard),
-            workers_restarted=sum(s.workers_restarted for s in per_shard),
             breaker_opens=sum(s.breaker.get("opens", 0) for s in per_shard),
             breaker_states=[s.breaker.get("state", "closed") for s in per_shard],
             queue_depths=[s.queue_depth for s in per_shard],

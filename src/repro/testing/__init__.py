@@ -3,11 +3,11 @@
 Currently one member: :mod:`repro.testing.faults`, the seeded
 fault-injection harness the chaos suite and the fault benchmark gate
 drive.  The package is a leaf (it imports only :mod:`repro.errors`), so
-any layer — the shard worker loop, the service's materialisation and
-query boundaries, the snapshot writer — can hook it without cycles.
+any layer — the service's materialisation and query boundaries, the
+snapshot writer — can hook it without cycles.
 """
 
 from . import faults
-from .faults import FaultInjector, InjectedFault, InjectedWorkerCrash
+from .faults import FaultInjector, InjectedFault
 
-__all__ = ["faults", "FaultInjector", "InjectedFault", "InjectedWorkerCrash"]
+__all__ = ["faults", "FaultInjector", "InjectedFault"]

@@ -2,9 +2,9 @@
 
 The chaos suite and ``benchmarks/test_scaling_faults.py`` need to prove
 that the fleet keeps its correctness and latency promises *under*
-faults — dead workers, latency spikes, transient exceptions, torn
-snapshot writes.  Faults that depend on wall-clock timing or unseeded
-randomness make those proofs flaky, so this module injects them on a
+faults — latency spikes, transient exceptions, torn snapshot writes.
+Faults that depend on wall-clock timing or unseeded randomness make
+those proofs flaky, so this module injects them on a
 **schedule over invocation counts**: each hook site keeps a counter, and
 a fault fires when the counter hits the indexes (or modulus, or seeded
 probability) its :class:`Fault` declares.  The same plan over the same
@@ -13,8 +13,6 @@ workload therefore always injects at the same logical points.
 Hook sites currently wired into the stack:
 
 ====================  ====================================================
-``worker``            a shard worker, after dequeuing one request and
-                      before executing it (``shards.ServiceShard._work``)
 ``materialize``       the service's scenario-build boundary, on a
                       scenario-cache miss (``ExplanationService._scenario``)
 ``query``             the service's query/generation boundary, per served
@@ -28,9 +26,6 @@ Actions:
 * ``error`` — raise :class:`InjectedFault` (a typed
   :class:`~repro.errors.TransientServingError`, so the retry path and
   the 503 taxonomy treat it exactly like a real transient);
-* ``crash`` — raise :class:`InjectedWorkerCrash` (a ``BaseException``,
-  so the worker loop's normal exception handling cannot swallow it: the
-  worker thread dies and the watchdog must restore capacity);
 * ``latency`` — sleep ``delay_ms`` at the site (a latency spike).
 
 **Zero overhead when disabled**: hook sites are guarded by
@@ -45,9 +40,9 @@ The ``REPRO_FAULTS`` spec is a semicolon-separated list of clauses::
     site=action@trigger[:delay_ms]
     trigger := i,j,k... | every=N | p=0.05
 
-e.g. ``REPRO_FAULTS="worker=crash@40,90;worker=latency@every=25:150"``
-kills the worker holding the 41st and 91st dequeued requests and adds a
-150 ms spike to every 25th.
+e.g. ``REPRO_FAULTS="query=error@40,90;query=latency@every=25:150"``
+fails the 41st and 91st served requests with a transient error and adds
+a 150 ms spike to every 25th.
 """
 
 from __future__ import annotations
@@ -65,7 +60,6 @@ __all__ = [
     "Fault",
     "FaultInjector",
     "InjectedFault",
-    "InjectedWorkerCrash",
     "activate",
     "deactivate",
     "injected",
@@ -73,7 +67,7 @@ __all__ = [
 ]
 
 #: Actions a :class:`Fault` may take when it fires.
-ACTIONS = ("error", "crash", "latency")
+ACTIONS = ("error", "latency")
 
 
 class InjectedFault(TransientServingError):
@@ -83,17 +77,6 @@ class InjectedFault(TransientServingError):
     stack treats it exactly like a genuine transient infrastructure
     failure: the breaker counts it, idempotent asks retry it, and the
     transport maps an unretried one to a retryable 503.
-    """
-
-
-class InjectedWorkerCrash(BaseException):
-    """An injected worker death (the ``crash`` action).
-
-    Deliberately a ``BaseException``: the worker loop's ``except
-    BaseException`` around *request execution* relays request failures to
-    the caller's future, but an injected crash fires *outside* that block
-    and must tear the worker thread down the way a real crash (or an
-    OOM-killed thread) would — only the watchdog brings capacity back.
     """
 
 
@@ -156,7 +139,7 @@ class FaultInjector:
     def fire(self, site: str, **info: object) -> None:
         """Hook-point entry: sleep or raise if the plan says so.
 
-        ``info`` is free-form context (shard index, worker name) used
+        ``info`` is free-form context (such as the question type) used
         only for the exception message.  Sites without scheduled faults
         cost one dict lookup and a counter bump.
         """
@@ -174,8 +157,6 @@ class FaultInjector:
             detail += ")"
             if fault.action == "latency":
                 time.sleep(fault.delay_ms / 1000.0)
-            elif fault.action == "crash":
-                raise InjectedWorkerCrash(detail)
             else:
                 raise InjectedFault(detail)
 

@@ -11,9 +11,9 @@ Covers the serving-layer guarantees the sharded architecture makes:
   through :class:`ShardedExplanationService` is response-for-response
   equal to a serial replay of the same trace on a plain
   :class:`ExplanationService` (the serial oracle);
-* **load shedding** — admission control surfaces the typed
+* **load shedding** — a shard's admission gate surfaces the typed
   :class:`BackpressureError` (with counters), not a 500 or a traceback,
-  through both ``ExplanationService.ask`` and the HTTP API;
+  through both ``ShardedExplanationService.ask`` and the HTTP API;
 * **session lifecycle** — idle sessions are evicted (TTL and LRU cap)
   and persona-addressed sessions rebuild transparently afterwards.
 
@@ -23,6 +23,7 @@ The reader-thread count scales with ``REPRO_TEST_WORKERS`` (CI runs a
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import socket
@@ -30,6 +31,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -60,6 +62,43 @@ UPDATES = (
     dict(likes=("Spinach",)),
     dict(goals=("high_fiber",)),
 )
+
+
+def _in_thread(call) -> Future:
+    """Run ``call()`` on a helper thread; the future resolves with its outcome."""
+    future: Future = Future()
+
+    def run():
+        try:
+            future.set_result(call())
+        except BaseException as exc:  # noqa: BLE001 - relayed via the future
+            future.set_exception(exc)
+
+    threading.Thread(target=run, daemon=True).start()
+    return future
+
+
+def _fill_shard(shard):
+    """Hold a one-slot, one-waiter shard full from helper threads.
+
+    Returns ``(release, running_future, queued_future)``; ``queued_future``
+    resolves to ``"queued"`` once the slot is released.
+    """
+    release = threading.Event()
+    running = threading.Event()
+
+    def occupy():
+        running.set()
+        assert release.wait(timeout=30)
+
+    running_future = _in_thread(lambda: shard.submit(occupy))
+    assert running.wait(timeout=30)
+    queued_future = _in_thread(lambda: shard.submit(lambda: "queued"))
+    deadline = time.monotonic() + 30
+    while shard.queue_depth() < 1:
+        assert time.monotonic() < deadline, "the waiter never queued"
+        time.sleep(0.002)
+    return release, running_future, queued_future
 
 
 def _run_threads(targets, timeout=60.0):
@@ -263,7 +302,7 @@ class TestShardedDifferential:
                 f"concurrent response diverged from serial replay at {key}"
 
     def test_sessions_route_stably_to_their_home_shard(self, engine):
-        sharded = ShardedExplanationService(num_shards=4, engine=engine, start=False)
+        sharded = ShardedExplanationService(num_shards=4, engine=engine)
         session = sharded.open_persona_session("paper")
         home = sharded.shard_for_session(session.session_id)
         assert session.session_id in home.service.registry
@@ -280,56 +319,11 @@ class TestShardedDifferential:
 # Load shedding (bounded queues + admission control)
 # ---------------------------------------------------------------------------
 class TestLoadShedding:
-    def test_service_admission_control_sheds_with_typed_error(self, engine, monkeypatch):
-        service = ExplanationService(engine=engine, max_pending=1)
-        service.ask(QUESTION, persona="paper")  # warm: no reasoning during the race
-
-        entered, release = threading.Event(), threading.Event()
-        real_explain = engine.explain
-
-        def slow_explain(*args, **kwargs):
-            entered.set()
-            assert release.wait(timeout=30)
-            return real_explain(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "explain", slow_explain)
-        first_error = []
-        blocker = threading.Thread(
-            target=lambda: first_error.append(
-                service.ask(QUESTION, persona="paper")), daemon=True)
-        blocker.start()
-        assert entered.wait(timeout=30)
-        try:
-            with pytest.raises(BackpressureError) as excinfo:
-                service.ask(QUESTION, persona="paper")
-        finally:
-            release.set()
-            blocker.join(timeout=30)
-
-        payload = excinfo.value.to_payload()
-        assert payload["error"] == "backpressure"
-        assert payload["retryable"] is True
-        assert payload["scope"] == "service"
-        stats = service.stats()
-        assert stats.requests_rejected == 1
-        assert "requests rejected:      1" in stats.to_text()
-        # The blocked request itself completed fine once released.
-        assert first_error and first_error[0].explanation.text
-
     def test_shard_queue_rejection_carries_shard_context(self, engine):
         sharded = ShardedExplanationService(
             num_shards=1, workers_per_shard=1, queue_size=1, engine=engine)
         try:
-            release = threading.Event()
-            running = threading.Event()
-
-            def occupy():
-                running.set()
-                assert release.wait(timeout=30)
-
-            worker_future = sharded.shards[0].submit(occupy)
-            assert running.wait(timeout=30)
-            queued_future = sharded.shards[0].submit(lambda: "queued")
+            release, worker_future, queued_future = _fill_shard(sharded.shards[0])
             with pytest.raises(BackpressureError) as excinfo:
                 sharded.ask(QUESTION, persona="paper")
             assert excinfo.value.shard == 0
@@ -340,6 +334,7 @@ class TestLoadShedding:
             assert queued_future.result(timeout=30) == "queued"
             stats = sharded.stats()
             assert stats.requests_rejected == 1
+            assert "requests rejected:      1" in stats.to_text()
             assert stats.queue_depths == [0]
             # Back to normal service after the burst drained.
             assert sharded.ask(QUESTION, persona="paper").explanation.text
@@ -434,20 +429,24 @@ class TestHTTPServer:
             status_line = sock.recv(4096).split(b"\r\n", 1)[0]
         assert status_line.split()[1] == b"400"
 
+    def test_deeply_nested_body_is_a_400(self, server):
+        body = b"[" * 100000
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(b"POST /ask HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: " + str(len(body)).encode() +
+                         b"\r\n\r\n" + body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+        assert (response.status, payload["error"]) == (400, "bad_request")
+        assert server.internal_errors == 0
+
     def test_backpressure_is_a_typed_503_then_recovers(self, server):
         sharded = server.service
         sharded.ask(QUESTION, persona="paper")  # warm all layers first
 
-        release = threading.Event()
-        running = threading.Event()
-
-        def occupy():
-            running.set()
-            assert release.wait(timeout=30)
-
-        worker_future = sharded.shards[0].submit(occupy)
-        assert running.wait(timeout=30)
-        filler_future = sharded.shards[0].submit(lambda: None)  # queue now full
+        release, worker_future, filler_future = _fill_shard(sharded.shards[0])
         status, body = _request(server.url, "/ask",
                                 {"question": QUESTION, "persona": "paper"})
         assert status == 503

@@ -3,34 +3,34 @@
 Exercises the serving stack's failure model with the deterministic fault
 injector (:mod:`repro.testing.faults`):
 
-* **deadlines** — a caller's wait is bounded by its timeout, expiry is a
-  typed :class:`DeadlineExceededError`, queued-but-expired work is
-  skipped before execution, and every miss is counted;
-* **supervision** — a crashed worker's request is salvaged (no caller
-  hangs), the watchdog restarts dead workers and retires-and-replaces
-  wedged ones, and ``workers_live`` recovers;
+* **inline admission** — shard work runs on the caller's thread, no
+  thread is started, and waiters take freed slots in arrival order;
+* **deadlines** — a caller's wait for a slot is bounded by its timeout,
+  expiry is a typed :class:`DeadlineExceededError`, expired waiters are
+  skipped before execution, late work raises when it finishes, and every
+  miss is counted;
 * **circuit breaker** — consecutive failures open it, callers then fail
   fast with :class:`ShardUnavailableError` + ``retry_after``, a
   half-open probe closes it again (or re-opens it on failure);
-* **graceful drain** — ``stop(timeout=...)`` cancels overdue queued work
+* **graceful drain** — ``stop(timeout=...)`` cancels overdue waiters
   with :class:`ServiceDrainingError`, is idempotent, and a submit racing
   a stop gets a typed error instead of hanging forever;
 * **retry** — idempotent asks retry transparently on
   :class:`TransientServingError`; updates never do;
 * **HTTP taxonomy** — 503s carry ``Retry-After`` + a machine-readable
   ``reason``, deadline misses are 504s, and a draining server rejects
-  new work with 503 while in-flight requests finish;
-* **crash-recovery stress** — seeded random worker kills mid-burst lose
-  no request, answer none wrongly, and leave the counters reconciled.
+  new work with 503 while in-flight requests finish.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 
 import pytest
 
@@ -42,9 +42,9 @@ from repro.errors import (
     UnavailableError,
 )
 from repro.service import (
+    BackpressureError,
     CircuitBreaker,
     ExplanationServer,
-    ExplanationService,
     ServiceShard,
     ServiceStats,
     ShardedExplanationService,
@@ -68,13 +68,32 @@ class _StubService:
 def _shard(**kwargs) -> ServiceShard:
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("queue_size", 8)
-    shard = ServiceShard(0, _StubService(), **kwargs)
-    shard.start()
-    return shard
+    return ServiceShard(0, _StubService(), **kwargs)
+
+
+def _in_thread(call) -> Future:
+    """Run ``call()`` on a helper thread; the future resolves with its outcome."""
+    future: Future = Future()
+
+    def run():
+        try:
+            future.set_result(call())
+        except BaseException as exc:  # noqa: BLE001 - relayed via the future
+            future.set_exception(exc)
+
+    threading.Thread(target=run, daemon=True).start()
+    return future
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
 
 
 def _occupy(shard):
-    """Park the shard's (single) worker on an event; returns (release, future)."""
+    """Hold the shard's (single) slot from a helper thread; (release, future)."""
     release = threading.Event()
     running = threading.Event()
 
@@ -83,9 +102,17 @@ def _occupy(shard):
         assert release.wait(timeout=30)
         return "occupied"
 
-    future = shard.submit(block)
+    future = _in_thread(lambda: shard.submit(block))
     assert running.wait(timeout=30)
     return release, future
+
+
+def _queue(shard, fn, *args, **kwargs) -> Future:
+    """Submit from a helper thread and wait until the call is queued."""
+    depth = shard.queue_depth()
+    future = _in_thread(lambda: shard.submit(fn, *args, **kwargs))
+    _wait_for(lambda: shard.queue_depth() > depth)
+    return future
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +124,17 @@ class TestFaultInjector:
 
     def test_spec_grammar(self):
         injector = FaultInjector.from_spec(
-            "worker=crash@3,9; query=error@every=4; "
+            "snapshot_write=error@3,9; query=latency@every=4:10; "
             "materialize=latency@p=0.5:25", seed=7)
         by_site = {fault.site: fault for fault in injector.faults}
-        assert by_site["worker"].action == "crash"
-        assert by_site["worker"].at == (3, 9)
+        assert by_site["snapshot_write"].action == "error"
+        assert by_site["snapshot_write"].at == (3, 9)
         assert by_site["query"].every == 4
+        assert by_site["query"].delay_ms == 10.0
         assert by_site["materialize"].prob == 0.5
         assert by_site["materialize"].delay_ms == 25.0
-        for bad in ("worker", "worker=crash", "worker=boom@1", "w=crash@x"):
+        for bad in ("query", "query=error", "query=boom@1", "q=error@x",
+                    "query=crash@1"):
             with pytest.raises(ValueError):
                 FaultInjector.from_spec(bad)
 
@@ -150,108 +179,140 @@ class TestFaultInjector:
 class TestDeadlines:
     def test_caller_wait_is_bounded_and_typed(self):
         shard = _shard()
-        try:
-            release, future = _occupy(shard)
-            started = time.monotonic()
-            with pytest.raises(DeadlineExceededError) as excinfo:
-                shard.call(lambda: "late", timeout=0.1)
-            assert time.monotonic() - started < 5.0
-            assert excinfo.value.timeout == 0.1
-            assert excinfo.value.shard == 0
-            assert excinfo.value.to_payload()["error"] == "deadline_exceeded"
-            assert shard.timed_out == 1
-            release.set()
-            assert future.result(timeout=30) == "occupied"
-        finally:
-            shard.stop(timeout=5.0)
+        release, blocked = _occupy(shard)
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            shard.submit(lambda: "late", timeout=0.1)
+        assert time.monotonic() - started < 5.0
+        assert excinfo.value.timeout == 0.1
+        assert excinfo.value.shard == 0
+        assert excinfo.value.to_payload()["error"] == "deadline_exceeded"
+        assert shard.timed_out == 1
+        assert shard.queue_depth() == 0
+        release.set()
+        assert blocked.result(timeout=30) == "occupied"
 
     def test_expired_queued_work_is_skipped_not_executed(self):
         shard = _shard()
-        try:
-            release, blocked = _occupy(shard)
-            executed = threading.Event()
-            stale = shard.submit(executed.set, timeout=0.05)
-            time.sleep(0.1)  # let the deadline lapse while still queued
-            release.set()
-            with pytest.raises(DeadlineExceededError):
-                stale.result(timeout=30)
-            assert not executed.is_set()
-            assert shard.expired == 1
-            assert blocked.result(timeout=30) == "occupied"
-        finally:
-            shard.stop(timeout=5.0)
+        release, blocked = _occupy(shard)
+        executed = threading.Event()
+        stale = _queue(shard, executed.set, timeout=0.05)
+        with pytest.raises(DeadlineExceededError):
+            stale.result(timeout=30)
+        release.set()
+        assert blocked.result(timeout=30) == "occupied"
+        assert not executed.is_set()
+        assert shard.timed_out == 1
+        assert shard.breaker.timeouts == 1
+
+    def test_late_work_raises_when_it_finishes_and_keeps_its_effects(self):
+        shard = _shard()
+        effects = []
+
+        def slow():
+            time.sleep(0.1)
+            effects.append("cached")
+            return "late"
+
+        with pytest.raises(DeadlineExceededError):
+            shard.submit(slow, timeout=0.02)
+        assert effects == ["cached"]
+        assert shard.timed_out == 1
+        assert shard.breaker.timeouts == 1
+        assert shard.submit(lambda: "next") == "next"
 
     def test_timeout_counters_surface_in_stats(self):
         shard = _shard()
-        try:
-            release, _ = _occupy(shard)
-            with pytest.raises(DeadlineExceededError):
-                shard.call(lambda: None, timeout=0.05)
-            release.set()
-            stats = shard.stats()
-            assert stats.requests_timed_out == 1
-            assert "requests timed out:     1" in stats.to_text()
-        finally:
-            shard.stop(timeout=5.0)
+        release, blocked = _occupy(shard)
+        with pytest.raises(DeadlineExceededError):
+            shard.submit(lambda: None, timeout=0.05)
+        release.set()
+        blocked.result(timeout=30)
+        stats = shard.stats()
+        assert stats.requests_timed_out == 1
+        assert "requests timed out:     1" in stats.to_text()
 
 
 # ---------------------------------------------------------------------------
-# Supervision: dead and wedged workers
+# Inline admission: the caller's thread does the work
 # ---------------------------------------------------------------------------
-class TestSupervision:
-    def test_crashed_worker_is_restarted_and_request_salvaged(self):
-        shard = _shard(workers=1)
-        try:
-            with injected(FaultInjector(
-                    [Fault(site="worker", action="crash", at=(0,))])):
-                future = shard.submit(lambda: "survived")
-                # The worker dies holding the request; the item is salvaged
-                # back onto the queue, so nothing is lost.
-                deadline = time.monotonic() + 5.0
-                while shard.workers_live() > 0 and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                assert shard.workers_live() == 0
-                assert shard.supervise() == 1
-                assert shard.workers_live() == 1
-                assert shard.workers_restarted == 1
-                assert future.result(timeout=30) == "survived"
-        finally:
-            shard.stop(timeout=5.0)
+class TestInlineAdmission:
+    def test_fn_runs_on_the_callers_thread(self):
+        shard = _shard()
+        assert shard.submit(threading.get_ident) == threading.get_ident()
 
-    def test_wedged_worker_is_retired_and_replaced(self):
-        shard = _shard(workers=1, wedge_timeout=0.05)
-        try:
-            release, wedged = _occupy(shard)
-            time.sleep(0.1)  # past the wedge threshold
-            assert shard.supervise() == 1
-            assert shard.workers_restarted == 1
-            # The replacement serves new work while the wedged thread is
-            # still stuck (it cannot be killed, only abandoned).
-            assert shard.call(lambda: "fresh", timeout=5.0) == "fresh"
-            release.set()
-            assert wedged.result(timeout=30) == "occupied"
-        finally:
-            shard.stop(timeout=5.0)
-
-    def test_fleet_watchdog_restores_capacity(self, engine):
+    def test_fleet_starts_no_threads(self, engine):
+        before = threading.active_count()
         sharded = ShardedExplanationService(
-            num_shards=1, workers_per_shard=2, engine=engine,
-            watchdog_interval=0.02, breaker_failure_threshold=100)
+            num_shards=4, workers_per_shard=2, engine=engine)
         try:
-            with injected(FaultInjector(
-                    [Fault(site="worker", action="crash", at=(0,))])):
-                assert sharded.ask(QUESTION, persona="paper").explanation.text
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    stats = sharded.stats()
-                    if stats.workers_live == 2 and stats.workers_restarted == 1:
-                        break
-                    time.sleep(0.01)
-                stats = sharded.stats()
-                assert stats.workers_live == 2
-                assert stats.workers_restarted == 1
+            assert sharded.ask(QUESTION, persona="paper").explanation.text
+            assert threading.active_count() == before
         finally:
             sharded.stop(timeout=5.0)
+
+    def test_waiters_take_freed_slots_in_arrival_order(self):
+        shard = _shard(workers=1)
+        release, blocked = _occupy(shard)
+        order = []
+        waiters = [_queue(shard, order.append, n) for n in range(3)]
+        assert shard.queue_depth() == 3
+        release.set()
+        for waiter in waiters:
+            waiter.result(timeout=30)
+        assert blocked.result(timeout=30) == "occupied"
+        assert order == [0, 1, 2]
+        assert shard.queue_depth() == 0
+
+    def test_gate_bounds_concurrency_under_contention(self):
+        """More callers than cores, a tiny switch interval: the gate never
+        admits more than ``workers`` at once and loses no slot."""
+        shard = _shard(workers=2, queue_size=64)
+        lock = threading.Lock()
+        active, peak, served = [0], [0], []
+
+        def work(n):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            time.sleep(0)
+            with lock:
+                active[0] -= 1
+                served.append(n)
+
+        def caller(slot):
+            for n in range(50):
+                shard.submit(work, (slot, n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(slot,), daemon=True)
+                       for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(served) == len(set(served)) == 8 * 50
+        assert 1 <= peak[0] <= 2
+        # Every slot came back and no waiter was left behind.
+        assert (shard._running, shard.queue_depth(), shard.rejected) == (0, 0, 0)
+
+    def test_full_queue_sheds_the_next_caller(self):
+        shard = _shard(workers=1, queue_size=1)
+        release, blocked = _occupy(shard)
+        queued = _queue(shard, lambda: "queued")
+        with pytest.raises(BackpressureError) as excinfo:
+            shard.submit(lambda: "shed")
+        assert (excinfo.value.shard, excinfo.value.queue_depth,
+                excinfo.value.limit) == (0, 1, 1)
+        assert shard.rejected == 1
+        release.set()
+        assert queued.result(timeout=30) == "queued"
+        assert blocked.result(timeout=30) == "occupied"
 
 
 # ---------------------------------------------------------------------------
@@ -292,29 +353,27 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(0, failure_threshold=3, cooldown=0.05,
                                  max_cooldown=0.05, seed=1)
         shard = _shard(breaker=breaker)
-        try:
-            def boom():
-                raise RuntimeError("internal bug")
 
-            for _ in range(3):
-                with pytest.raises(RuntimeError):
-                    shard.call(boom)
-            with pytest.raises(ShardUnavailableError) as excinfo:
-                shard.call(lambda: "nope")
-            assert excinfo.value.retry_after is not None
-            assert shard.breaker.rejected_fast == 1
-            assert shard.stats().breaker["state"] == "open"
-            time.sleep(0.06)  # cooldown (jitter keeps it <= 0.05)
-            assert shard.call(lambda: "probe ok") == "probe ok"
-            assert shard.breaker.state == "closed"
-            assert shard.stats().breaker["opens"] == 1
-        finally:
-            shard.stop(timeout=5.0)
+        def boom():
+            raise RuntimeError("internal bug")
+
+        for _ in range(3):
+            with pytest.raises(RuntimeError):
+                shard.submit(boom)
+        with pytest.raises(ShardUnavailableError) as excinfo:
+            shard.submit(lambda: "nope")
+        assert excinfo.value.retry_after is not None
+        assert shard.breaker.rejected_fast == 1
+        assert shard.stats().breaker["state"] == "open"
+        time.sleep(0.06)  # cooldown (jitter keeps it <= 0.05)
+        assert shard.submit(lambda: "probe ok") == "probe ok"
+        assert shard.breaker.state == "closed"
+        assert shard.stats().breaker["opens"] == 1
 
     def test_request_errors_do_not_trip_the_breaker(self, engine):
         sharded = ShardedExplanationService(
             num_shards=1, workers_per_shard=1, engine=engine,
-            breaker_failure_threshold=2, watchdog_interval=None)
+            breaker_failure_threshold=2)
         try:
             from repro.errors import RequestError
 
@@ -336,7 +395,7 @@ class TestGracefulDrain:
     def test_bounded_stop_cancels_overdue_queued_work(self):
         shard = _shard(queue_size=8)
         release, blocked = _occupy(shard)
-        queued = [shard.submit(lambda i=i: i) for i in range(3)]
+        queued = [_queue(shard, lambda i=i: i) for i in range(3)]
         stopper = threading.Thread(target=lambda: shard.stop(timeout=0.1),
                                    daemon=True)
         stopper.start()
@@ -345,15 +404,22 @@ class TestGracefulDrain:
                 future.result(timeout=30)
             assert excinfo.value.to_payload()["reason"] == "draining"
         assert shard.cancelled == 3
-        release.set()
-        assert blocked.result(timeout=30) == "occupied"
         stopper.join(timeout=30)
         assert not stopper.is_alive()
+        release.set()
+        assert blocked.result(timeout=30) == "occupied"
 
     def test_unbounded_stop_drains_everything(self):
         shard = _shard(queue_size=8)
-        results = [shard.submit(lambda i=i: i * 2) for i in range(5)]
-        shard.stop()
+        release, blocked = _occupy(shard)
+        results = [_queue(shard, lambda i=i: i * 2) for i in range(5)]
+        stopper = threading.Thread(target=shard.stop, daemon=True)
+        stopper.start()
+        _wait_for(lambda: shard._stopping)
+        release.set()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        assert blocked.result(timeout=1) == "occupied"
         assert [f.result(timeout=1) for f in results] == [0, 2, 4, 6, 8]
         assert shard.cancelled == 0
 
@@ -378,7 +444,6 @@ class TestGracefulDrain:
 
     def test_submit_racing_stop_gets_typed_error_never_hangs(self):
         shard = _shard(workers=2, queue_size=16)
-        futures = []
         outcomes = []
         stop_barrier = threading.Barrier(5)
 
@@ -386,7 +451,7 @@ class TestGracefulDrain:
             stop_barrier.wait()
             for _ in range(200):
                 try:
-                    futures.append(shard.submit(lambda: time.sleep(0.0005)))
+                    shard.submit(lambda: time.sleep(0.0005))
                 except (ServiceDrainingError, UnavailableError):
                     outcomes.append("rejected")
                     return
@@ -400,29 +465,23 @@ class TestGracefulDrain:
         threads.append(threading.Thread(target=stopper, daemon=True))
         for thread in threads:
             thread.start()
+        # Every caller returns within a bound, and each hammer's next
+        # submit after the stop began got the typed rejection: nothing
+        # waits forever on a stopped shard.
         for thread in threads:
             thread.join(timeout=30)
             assert not thread.is_alive()
-        # Every accepted future resolves — served, cancelled, or expired —
-        # within a bound.  Nothing waits forever on a stopped shard.
-        for future in futures:
-            try:
-                future.result(timeout=10)
-            except (ServiceDrainingError, DeadlineExceededError):
-                pass
+        assert outcomes == ["rejected"] * 4
 
     def test_submit_after_stop_is_rejected(self):
         shard = _shard()
         shard.stop()
         with pytest.raises(ServiceDrainingError):
             shard.submit(lambda: None)
-        with pytest.raises(ServiceDrainingError):
-            shard.call(lambda: None)
 
     def test_fleet_stop_is_idempotent(self, engine):
         sharded = ShardedExplanationService(
-            num_shards=2, workers_per_shard=1, engine=engine,
-            watchdog_interval=None)
+            num_shards=2, workers_per_shard=1, engine=engine)
         assert sharded.ask(QUESTION, persona="paper").explanation.text
         sharded.stop(timeout=5.0)
         assert sharded.draining
@@ -438,7 +497,7 @@ class TestRetry:
     def test_transient_ask_failures_are_retried(self, engine):
         sharded = ShardedExplanationService(
             num_shards=1, workers_per_shard=1, engine=engine,
-            retry_attempts=2, retry_backoff=0.005, watchdog_interval=None)
+            retry_attempts=2, retry_backoff=0.005)
         try:
             calls = []
             real_explain = sharded.shards[0].service.explain
@@ -459,7 +518,7 @@ class TestRetry:
     def test_exhausted_retries_surface_the_transient(self, engine):
         sharded = ShardedExplanationService(
             num_shards=1, workers_per_shard=1, engine=engine,
-            retry_attempts=1, retry_backoff=0.005, watchdog_interval=None,
+            retry_attempts=1, retry_backoff=0.005,
             breaker_failure_threshold=100)
         try:
             calls = []
@@ -478,7 +537,7 @@ class TestRetry:
     def test_updates_are_never_retried(self, engine):
         sharded = ShardedExplanationService(
             num_shards=1, workers_per_shard=1, engine=engine,
-            retry_attempts=3, watchdog_interval=None)
+            retry_attempts=3)
         try:
             calls = []
 
@@ -497,7 +556,7 @@ class TestRetry:
     def test_injected_query_fault_recovers_transparently(self, engine):
         sharded = ShardedExplanationService(
             num_shards=1, workers_per_shard=1, engine=engine,
-            retry_attempts=2, retry_backoff=0.005, watchdog_interval=None)
+            retry_attempts=2, retry_backoff=0.005)
         try:
             with injected(FaultInjector(
                     [Fault(site="query", action="error", at=(0,))])) as injector:
@@ -530,8 +589,7 @@ class TestHTTPFaultTaxonomy:
     @pytest.fixture()
     def server(self, engine):
         sharded = ShardedExplanationService(
-            num_shards=1, workers_per_shard=1, queue_size=1, engine=engine,
-            watchdog_interval=None)
+            num_shards=1, workers_per_shard=1, queue_size=1, engine=engine)
         server = ExplanationServer(sharded, port=0).start()
         yield server
         server.stop(timeout=5.0)
@@ -540,7 +598,7 @@ class TestHTTPFaultTaxonomy:
         sharded = server.service
         sharded.ask(QUESTION, persona="paper")  # warm first
         release, blocked = _occupy(sharded.shards[0])
-        filler = sharded.shards[0].submit(lambda: None)
+        filler = _queue(sharded.shards[0], lambda: None)
         status, body, headers = _request(
             server.url, "/ask", {"question": QUESTION, "persona": "paper"})
         assert status == 503
@@ -578,8 +636,7 @@ class TestHTTPFaultTaxonomy:
 
     def test_draining_server_rejects_new_work_with_503(self, engine):
         sharded = ShardedExplanationService(
-            num_shards=1, workers_per_shard=1, queue_size=4, engine=engine,
-            watchdog_interval=None)
+            num_shards=1, workers_per_shard=1, queue_size=4, engine=engine)
         server = ExplanationServer(sharded, port=0).start()
         sharded.ask(QUESTION, persona="paper")  # warm first
         release, blocked = _occupy(sharded.shards[0])
@@ -598,79 +655,3 @@ class TestHTTPFaultTaxonomy:
         blocked.result(timeout=30)
         stopper.join(timeout=30)
         assert not stopper.is_alive()
-
-
-# ---------------------------------------------------------------------------
-# Worker-crash recovery stress (satellite)
-# ---------------------------------------------------------------------------
-class TestCrashRecoveryStress:
-    def test_random_worker_kills_lose_nothing(self, engine):
-        """Seeded random kills mid-burst: the watchdog restores capacity,
-        no request is lost or answered wrongly, and the counters reconcile."""
-        personas = ("paper", "vegan_athlete", "diabetic_user")
-        baseline = {}
-        oracle = ExplanationService(engine=engine)
-        for persona_key in personas:
-            baseline[persona_key] = oracle.ask(
-                QUESTION, persona=persona_key).explanation.text
-
-        sharded = ShardedExplanationService(
-            num_shards=2, workers_per_shard=2, queue_size=32, engine=engine,
-            watchdog_interval=0.02, retry_attempts=3, retry_backoff=0.005,
-            breaker_failure_threshold=1000)
-        clients, per_client = 6, 10
-        try:
-            with injected(FaultInjector(
-                    [Fault(site="worker", action="crash", prob=0.08)],
-                    seed=42)) as injector:
-                answers = []
-                failures = []
-
-                def client(worker_id):
-                    for i in range(per_client):
-                        persona_key = personas[(worker_id + i) % len(personas)]
-                        try:
-                            response = sharded.ask(QUESTION, persona=persona_key)
-                            answers.append((persona_key,
-                                            response.explanation.text))
-                        except Exception as exc:  # noqa: BLE001 - asserted empty
-                            failures.append(exc)
-
-                threads = [threading.Thread(target=client, args=(n,), daemon=True)
-                           for n in range(clients)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=120)
-                    assert not thread.is_alive()
-
-                assert not failures
-                assert len(answers) == clients * per_client
-                # Differential correctness: every answer matches the
-                # fault-free oracle for its persona.
-                for persona_key, text in answers:
-                    assert text == baseline[persona_key]
-
-                crashes = len(injector.fired_at("worker"))
-                # The schedule must actually have fired, or this test is
-                # vacuous.
-                assert crashes > 0
-
-                # The watchdog restores full capacity and accounts for
-                # every kill.
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    stats = sharded.stats()
-                    if (stats.workers_live == 4
-                            and stats.workers_restarted == crashes):
-                        break
-                    time.sleep(0.02)
-                stats = sharded.stats()
-                assert stats.workers_live == 4
-                assert stats.workers_restarted == crashes
-                # Counters reconcile: every ask executed exactly once
-                # (kills fire before execution, so salvage + retry never
-                # double-serve).
-                assert stats.requests_served == clients * per_client
-        finally:
-            sharded.stop(timeout=10.0)
