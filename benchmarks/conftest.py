@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -26,6 +27,27 @@ from repro.users.personas import paper_context, paper_user
 #: without dominating the wall clock; locally the default exercises the
 #: full sizes.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
+
+
+#: Wall-clock gates assert only under REPRO_BENCH_GATES=1, which CI's
+#: benchmark jobs set.  Elsewhere — the tier-1 command among them — a missed
+#: gate is a warning, so pass or fail depends on answers, counters and
+#: memory, never on a timing ratio taken on a noisy box.
+BENCH_GATES = os.environ.get("REPRO_BENCH_GATES") == "1"
+
+
+def perf_gate(ok: bool, message: str) -> None:
+    """Check one wall-clock floor; ``message`` gives the measured value and
+    the floor.
+
+    Asserts under ``REPRO_BENCH_GATES=1``; otherwise a miss emits a
+    warning with the same message.
+    """
+    if BENCH_GATES:
+        assert ok, message
+    elif not ok:
+        warnings.warn(f"perf gate missed (not enforced without "
+                      f"REPRO_BENCH_GATES=1): {message}", stacklevel=2)
 
 
 def scaled(value: int) -> int:

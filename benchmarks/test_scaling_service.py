@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 
 import pytest
+from conftest import perf_gate
 
 from repro.core.engine import ExplanationEngine
 from repro.core.queries import contextual_query, evaluate_contextual
@@ -59,10 +60,9 @@ def test_service_is_5x_faster_than_per_request_engines():
     speedup = naive_seconds / service_seconds
     print(f"\nnaive loop: {naive_seconds:.2f}s, service batch: {service_seconds:.2f}s "
           f"-> speedup {speedup:.1f}x over {len(_WORKLOAD)} requests")
-    assert speedup >= 5.0, (
-        f"service must be >=5x faster than per-request engine construction, "
-        f"got {speedup:.1f}x"
-    )
+    perf_gate(speedup >= 5.0,
+              f"service must be >=5x faster than per-request engine construction, "
+              f"got {speedup:.1f}x")
 
 
 def test_batch_amortises_scenario_construction():

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 
 import pytest
-from conftest import BENCH_SCALE, best_of, build_kg, record_bench, scaled
+from conftest import BENCH_SCALE, best_of, build_kg, perf_gate, record_bench, scaled
 
 from repro.rdf.graph import Graph
 from repro.storage import load_snapshot, save_snapshot
@@ -106,8 +106,7 @@ def test_snapshot_load_is_10x_faster_than_turtle_rebuild(bench_graph, tmp_path):
         "speedup_floor": SPEEDUP_FLOOR,
         "bench_scale": BENCH_SCALE,
     })
-    assert ratio >= SPEEDUP_FLOOR, (
-        f"snapshot load must be >={SPEEDUP_FLOOR:.0f}x faster than the "
-        f"turtle rebuild, got {ratio:.1f}x "
-        f"(parse {parse_seconds:.4f}s vs load {load_seconds:.4f}s)"
-    )
+    perf_gate(ratio >= SPEEDUP_FLOOR,
+              f"snapshot load must be >={SPEEDUP_FLOOR:.0f}x faster than the "
+              f"turtle rebuild, got {ratio:.1f}x "
+              f"(parse {parse_seconds:.4f}s vs load {load_seconds:.4f}s)")

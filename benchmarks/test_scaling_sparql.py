@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import best_of, record_bench, scaled
+from conftest import best_of, perf_gate, record_bench, scaled
 
 from repro.core.engine import ExplanationEngine
 from repro.core.queries import (
@@ -125,10 +125,9 @@ def test_planner_speedup_on_adversarial_order():
         "planned_seconds": planned_best,
         "speedup": round(speedup, 2),
     })
-    assert speedup >= 5.0, (
-        f"planner speedup {speedup:.1f}x below the 5x gate "
-        f"(naive {naive_best:.4f}s, planned {planned_best:.4f}s)"
-    )
+    perf_gate(speedup >= 5.0,
+              f"planner speedup {speedup:.1f}x below the 5x gate "
+              f"(naive {naive_best:.4f}s, planned {planned_best:.4f}s)")
 
 
 def _listing_cases():
@@ -184,7 +183,6 @@ def test_planner_no_regression_on_paper_listings(name, template, question,
         "planned_seconds": planned_best,
         "planned_over_naive": round(ratio, 3),
     })
-    assert ratio <= 1.1, (
-        f"{name}: planned evaluation regressed to {ratio:.2f}x naive "
-        f"(naive {naive_best:.4f}s, planned {planned_best:.4f}s)"
-    )
+    perf_gate(ratio <= 1.1,
+              f"{name}: planned evaluation regressed to {ratio:.2f}x naive "
+              f"(naive {naive_best:.4f}s, planned {planned_best:.4f}s)")

@@ -161,6 +161,14 @@ def _clean(text: str) -> str:
     return re.sub(r"\s+", " ", text).strip().strip(".?")
 
 
+def _required(text: str, raw: str, what: str) -> str:
+    """The cleaned entity name, refusing one that cleans to nothing."""
+    name = _clean(raw)
+    if not name:
+        raise QuestionParseError(f"Question names no {what}: {text!r}")
+    return name
+
+
 def parse_question(text: str) -> Question:
     """Parse ``text`` into a :class:`Question` subclass.
 
@@ -173,22 +181,23 @@ def parse_question(text: str) -> Question:
     """
     match = _WHY_OVER_RE.match(text)
     if match:
-        return ContrastiveQuestion(text=text, primary=_clean(match.group("a")),
-                                   secondary=_clean(match.group("b")))
+        return ContrastiveQuestion(
+            text=text, primary=_required(text, match.group("a"), "food"),
+            secondary=_required(text, match.group("b"), "food"))
     match = _WHAT_IF_INGREDIENT_RE.match(text)
     if match and match.group("ing") and not _WHAT_IF_CONDITION_RE.match(text):
         return WhatIfIngredientQuestion(
             text=text,
             recipe=_clean(match.group("recipe") or ""),
-            ingredient=_clean(match.group("ing")),
+            ingredient=_required(text, match.group("ing"), "ingredient"),
             replacement=_clean(match.group("repl")) if match.group("repl") else None,
         )
     match = _WHAT_IF_CONDITION_RE.match(text)
     if match:
-        raw = _clean(match.group("cond")).lower()
+        raw = _required(text, match.group("cond"), "condition").lower()
         condition = _CONDITION_ALIASES.get(raw, raw.replace(" ", "_"))
         return WhatIfConditionQuestion(text=text, condition=condition)
     match = _WHY_RE.match(text)
     if match:
-        return WhyQuestion(text=text, recipe=_clean(match.group("a")))
+        return WhyQuestion(text=text, recipe=_required(text, match.group("a"), "food"))
     raise QuestionParseError(f"Could not parse question: {text!r}")

@@ -26,7 +26,7 @@ path instead of re-materialising the whole graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import UnknownEntityError
@@ -55,9 +55,13 @@ _RDF_TYPE = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 _RDFS_LABEL = IRI(RDFS.label)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A fully assembled and reasoned explanation scenario."""
+    """A fully assembled and reasoned explanation scenario.
+
+    Immutable, graphs included (they are frozen on construction), so
+    caches share one scenario with every read and updates build a new one.
+    """
 
     question: Question
     question_iri: IRI
@@ -69,28 +73,23 @@ class Scenario:
     user: UserProfile
     context: SystemContext
     recommendation: Optional[Recommendation] = None
-    parameter_iris: List[IRI] = field(default_factory=list)
+    parameter_iris: Tuple[IRI, ...] = ()
     #: Custom data triples accumulated via update_scenario(extra_triples=...);
     #: carried so a later rebuild (e.g. a recommendation swap) can re-apply
     #: them instead of silently dropping facts the builder cannot re-derive.
     extra_triples: Tuple[Triple, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.asserted.freeze()
+        self.inferred.freeze()
 
     def query(self, sparql_text: str):
         """Run SPARQL over the inferred (post-reasoning) graph."""
         return self.inferred.query(sparql_text)
 
     def snapshot(self) -> "Scenario":
-        """An isolated read view: the same scenario over COW graph copies.
-
-        :meth:`~repro.rdf.graph.Graph.copy` is cheap (the triple set plus
-        the outer index keys; inner entries stay shared copy-on-write), and
-        the copies are fully independent of the originals — a reader holding
-        a snapshot can never observe a later mutation of the source graphs,
-        which is what lets the service answer against a session's scenario
-        while an update lands behind it.
-        """
-        return replace(self, asserted=self.asserted.copy(),
-                       inferred=self.inferred.copy())
+        """A read view of this scenario: itself, since published graphs are frozen."""
+        return self
 
 
 class ScenarioBuilder:
@@ -206,7 +205,7 @@ class ScenarioBuilder:
             user=user,
             context=context,
             recommendation=recommendation,
-            parameter_iris=parameters,
+            parameter_iris=tuple(parameters),
         )
 
     def _assemble(
@@ -325,7 +324,7 @@ class ScenarioBuilder:
             user=user,
             context=scenario.context,
             recommendation=recommendation if recommendation is not None else scenario.recommendation,
-            parameter_iris=list(scenario.parameter_iris),
+            parameter_iris=scenario.parameter_iris,
             extra_triples=scenario.extra_triples + tuple(extra_triples),
         )
 

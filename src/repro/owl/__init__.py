@@ -9,7 +9,7 @@ query).
 """
 
 from .axioms import AxiomIndex, EquivalenceAxiom, SubClassAxiom
-from .closure import MaterializationCache, closure_cache, materialize
+from .closure import MaterializationCache
 from .expressions import (
     AllValuesFrom,
     ClassExpression,
@@ -47,8 +47,6 @@ __all__ = [
     "SomeValuesFrom",
     "SubClassAxiom",
     "UnionOf",
-    "closure_cache",
-    "materialize",
     "parse_class_expression",
     "render_tree",
     "vocabulary",

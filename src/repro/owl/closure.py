@@ -25,13 +25,14 @@ extension starts from the *pure* deductive closure (the closed-world
 fact/foil annotations are stripped, the delta is reasoned in, and the
 post-pass is re-run on the result).
 
-The cached closure graph is shared between hits and must be treated as
-read-only by callers; the incremental path never mutates a published
-entry.  Deterministic post-passes that need to write into the closure
+Published graphs are frozen (:meth:`repro.rdf.graph.Graph.freeze`): the
+cached closure is shared between hits, and it and the asserted graph it
+was reasoned from raise :class:`~repro.rdf.graph.FrozenGraphError` on any
+write.  Deterministic post-passes that need to write into the closure
 (e.g. :func:`repro.core.facts_foils.annotate_facts_and_foils`) are
 supplied via ``post_process`` so they run *before* the graph is published
 to the cache — hits never observe a partially-processed graph.  Callers
-that need a private copy can pass ``copy=True``.
+that need a mutable graph take a :meth:`~repro.rdf.graph.Graph.copy`.
 
 Misses are **single-flight** (concurrent first-touch requests for one
 fingerprint trigger exactly one materialisation), and entries round-trip
@@ -51,7 +52,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from ..rdf.graph import Graph, Triple
 from .reasoner import Reasoner
 
-__all__ = ["MaterializationCache", "materialize", "closure_cache"]
+__all__ = ["MaterializationCache"]
 
 Fingerprint = Tuple[int, int]
 
@@ -62,16 +63,16 @@ class _CacheEntry:
 
     ``post_added`` lets :meth:`MaterializationCache.extend` recover the pure
     reasoner output from the published (annotated) graph without storing a
-    second copy of the closure.  ``source`` is a (copy-on-write) copy of
-    the asserted graph the closure was reasoned from; it is what lets
+    second copy of the closure.  ``source`` is the frozen asserted graph
+    the closure was reasoned from; it is what lets
     :meth:`MaterializationCache.export_entries` hand warm closures to the
     snapshot store, which re-keys them by re-fingerprinting the asserted
     graph in the loading process.
     """
 
     closure: Graph
+    source: Graph
     post_added: Tuple[Triple, ...] = ()
-    source: Optional[Graph] = None
 
 
 class MaterializationCache:
@@ -100,7 +101,6 @@ class MaterializationCache:
         self,
         graph: Graph,
         reasoner_factory: Optional[Callable[[Graph], Reasoner]] = None,
-        copy: bool = False,
         post_process: Optional[Callable[[Graph], object]] = None,
     ) -> Graph:
         """Return the deductive closure of ``graph``, reasoning only on a miss.
@@ -109,9 +109,8 @@ class MaterializationCache:
         ``Reasoner(graph)``).  ``post_process`` is applied to a freshly
         reasoned closure *before* it is cached, so concurrent hits can
         never observe a partially-processed graph; it must be
-        deterministic for a given input fingerprint.  With ``copy=True``
-        the caller receives a private copy instead of the shared cached
-        instance.
+        deterministic for a given input fingerprint.  The closure is
+        frozen, and so is ``graph`` after a miss: it is the entry's source.
 
         Misses are **single-flight**: when several threads ask for the
         same fingerprint at once (the first-touch dog-pile a cold shard
@@ -129,7 +128,7 @@ class MaterializationCache:
                 if cached is not None:
                     self.hits += 1
                     self._entries.move_to_end(key)
-                    return cached.closure.copy() if copy else cached.closure
+                    return cached.closure
                 event = self._in_flight.get(key)
                 if event is None:
                     event = self._in_flight[key] = threading.Event()
@@ -145,8 +144,8 @@ class MaterializationCache:
             post_added = self._post_process(closure, post_process)
             with self._lock:
                 self.misses += 1
-                self._publish(key, _CacheEntry(closure, post_added, graph.copy()))
-            return closure.copy() if copy else closure
+                self._publish(key, _CacheEntry(closure, graph, post_added))
+            return closure
         finally:
             with self._lock:
                 self._in_flight.pop(key, None)
@@ -158,10 +157,9 @@ class MaterializationCache:
         base_fingerprint: Fingerprint,
         added_triples: Iterable[Triple],
         reasoner_factory: Optional[Callable[[Graph], Reasoner]] = None,
-        copy: bool = False,
         post_process: Optional[Callable[[Graph], object]] = None,
     ) -> Graph:
-        """Closure of ``graph`` by incremental extension of a cached base.
+        """Frozen closure of ``graph`` by incremental extension of a cached base.
 
         ``graph`` is the already-mutated asserted graph, ``base_fingerprint``
         the fingerprint it had when the cached closure was materialised, and
@@ -173,7 +171,8 @@ class MaterializationCache:
         post-process annotations stripped, the delta reasoned in with
         :meth:`Reasoner.extend`, and ``post_process`` re-applied — so the
         result is indistinguishable from a from-scratch materialisation of
-        ``graph``.  The shared base entry itself is never mutated.
+        ``graph``.  The shared base entry itself is never mutated, and
+        ``graph`` is frozen when the result is published.
         """
         key = graph.fingerprint()
         with self._lock:
@@ -181,20 +180,18 @@ class MaterializationCache:
             if cached is not None:
                 self.hits += 1
                 self._entries.move_to_end(key)
-                return cached.closure.copy() if copy else cached.closure
+                return cached.closure
             base = self._entries.get(base_fingerprint)
         if base is None:
             return self.materialize(
-                graph, reasoner_factory=reasoner_factory, copy=copy,
-                post_process=post_process)
+                graph, reasoner_factory=reasoner_factory, post_process=post_process)
         reasoner = reasoner_factory(graph) if reasoner_factory is not None else Reasoner(graph)
         if not reasoner.supports_incremental_extension:
             # Closed-world classification axioms make in-place extension
             # unsound (additions can invalidate matches); reason from the
             # asserted graph instead.
             return self.materialize(
-                graph, reasoner_factory=reasoner_factory, copy=copy,
-                post_process=post_process)
+                graph, reasoner_factory=reasoner_factory, post_process=post_process)
         extended = base.closure.copy()
         for triple in base.post_added:
             extended.remove(triple)
@@ -202,8 +199,8 @@ class MaterializationCache:
         post_added = self._post_process(extended, post_process)
         with self._lock:
             self.extensions += 1
-            self._publish(key, _CacheEntry(extended, post_added, graph.copy()))
-        return extended.copy() if copy else extended
+            self._publish(key, _CacheEntry(extended, graph, post_added))
+        return extended
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -217,7 +214,10 @@ class MaterializationCache:
             return journal.added()
 
     def _publish(self, key: Fingerprint, entry: _CacheEntry) -> None:
-        """Insert under the lock, enforcing the LRU bound."""
+        """Freeze the entry's graphs and insert under the lock, enforcing
+        the LRU bound."""
+        entry.closure.freeze()
+        entry.source.freeze()
         self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_size:
@@ -232,24 +232,23 @@ class MaterializationCache:
         This is the snapshot cold-start hook: entries loaded from a
         snapshot file are installed here so the first request for the
         same scenario is a cache hit instead of a materialisation.
-        Counts as neither a hit nor a miss.  Returns the key used.
+        Freezes ``asserted`` and ``closure``.  Counts as neither a hit
+        nor a miss.  Returns the key used.
         """
         key = asserted.fingerprint()
         with self._lock:
-            self._publish(key, _CacheEntry(closure, tuple(post_added), asserted))
+            self._publish(key, _CacheEntry(closure, asserted, tuple(post_added)))
         return key
 
     def export_entries(self) -> "list[Tuple[Graph, Graph, Tuple[Triple, ...]]]":
-        """``(asserted, closure, post_added)`` for every exportable entry.
+        """``(asserted, closure, post_added)`` for every entry, ordered
+        least- to most-recently used, like the underlying LRU.
 
-        Entries published before the cache recorded source graphs (or
-        installed without one) are skipped.  Ordered least- to
-        most-recently used, like the underlying LRU.
+        The graphs are the published (frozen) ones, not copies.
         """
         with self._lock:
             return [(entry.source, entry.closure, entry.post_added)
-                    for entry in self._entries.values()
-                    if entry.source is not None]
+                    for entry in self._entries.values()]
 
     # ------------------------------------------------------------------
     def invalidate(self, graph: Graph) -> bool:
@@ -281,16 +280,3 @@ class MaterializationCache:
         with self._lock:
             return len(self._entries)
 
-
-#: Process-wide default cache behind :func:`materialize`.
-_DEFAULT_CACHE = MaterializationCache()
-
-
-def closure_cache() -> MaterializationCache:
-    """The process-wide default :class:`MaterializationCache`."""
-    return _DEFAULT_CACHE
-
-
-def materialize(graph: Graph, copy: bool = False) -> Graph:
-    """Materialise ``graph``'s closure through the process-wide cache."""
-    return _DEFAULT_CACHE.materialize(graph, copy=copy)

@@ -10,7 +10,7 @@ namespace management and blank-node-aware graph comparison).
 from .collection import make_collection, read_collection
 from .compare import graph_diff, isomorphic
 from .dictionary import TermDictionary
-from .graph import ChangeJournal, EncodedTriple, Graph, Triple
+from .graph import ChangeJournal, EncodedTriple, FrozenGraphError, Graph, Triple
 from .namespace import (
     DC,
     DEFAULT_PREFIXES,
@@ -58,6 +58,7 @@ __all__ = [
     "FOAF",
     "FOOD",
     "FOODKG",
+    "FrozenGraphError",
     "Graph",
     "IRI",
     "Identifier",

@@ -31,7 +31,7 @@ from .dictionary import TermDictionary
 from .namespace import RDF, NamespaceManager
 from .terms import BNode, IRI, Literal, Term
 
-__all__ = ["Triple", "EncodedTriple", "Graph", "ChangeJournal"]
+__all__ = ["Triple", "EncodedTriple", "Graph", "ChangeJournal", "FrozenGraphError"]
 
 Node = Union[IRI, BNode, Literal]
 Triple = Tuple[Node, IRI, Node]
@@ -51,6 +51,10 @@ def _check_term(term: Any, position: str, allow_literal: bool) -> Node:
     raise TypeError(
         f"Invalid RDF term in {position} position: {term!r} (type {type(term).__name__})"
     )
+
+
+class FrozenGraphError(TypeError):
+    """Raised when a mutator is called on a graph after :meth:`Graph.freeze`."""
 
 
 class ChangeJournal:
@@ -172,6 +176,7 @@ class Graph:
         # graph families with different ID assignments.
         self._content_hash: int = 0
         self._journals: List[ChangeJournal] = []
+        self._frozen = False
 
     # ------------------------------------------------------------------
     # The encoded surface
@@ -208,6 +213,8 @@ class Graph:
         validation happens here — this is the internal fast path the
         reasoner's rule engine feeds derived triples through.
         """
+        if self._frozen:
+            self._refuse()
         if triple in self._triples:
             return False
         s, p, o = triple
@@ -272,6 +279,8 @@ class Graph:
         collects them in order — the shape the reasoner's semi-naive
         rounds need for the next delta.
         """
+        if self._frozen:
+            self._refuse()
         triples = self._triples
         spo, pos, osp = self._spo, self._pos, self._osp
         spo_cow, pos_cow, osp_cow = self._spo_cow, self._pos_cow, self._osp_cow
@@ -366,8 +375,25 @@ class Graph:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def freeze(self) -> "Graph":
+        """Make this graph read-only and return it: every mutator then
+        raises :class:`FrozenGraphError` before touching the graph or its
+        term dictionary."""
+        self._frozen = True
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        """``True`` once :meth:`freeze` has been called."""
+        return self._frozen
+
+    def _refuse(self) -> None:
+        raise FrozenGraphError(f"graph {self.identifier} is frozen; copy() it to mutate")
+
     def add(self, triple: Triple) -> "Graph":
         """Add one ``(subject, predicate, object)`` triple."""
+        if self._frozen:
+            self._refuse()
         s, p, o = triple
         s = _check_term(s, "subject", allow_literal=False)
         p = _check_term(p, "predicate", allow_literal=False)
@@ -383,30 +409,26 @@ class Graph:
 
         Encoding happens in one pass with locally-bound lookups; when the
         source is a same-family :class:`Graph` the already-encoded triples
-        are inserted directly, skipping validation and re-encoding, and
-        when no journal is attached the per-triple journal bookkeeping is
-        skipped entirely.
+        are inserted directly, skipping validation and re-encoding.
+        Both paths end in :meth:`add_encoded_many`, which refuses a frozen
+        graph before the first term is interned.
         """
         if isinstance(triples, Graph) and triples._dict is self._dict:
             self.add_encoded_many(triples._triples)
             return self
         intern = self._dict.intern
-        if not self._journals:
-            # Journal-free bulk path: encode and insert without the
-            # per-triple journal checks (and per-call overhead) of add().
-            self.add_encoded_many(
-                (intern(_check_term(s, "subject", allow_literal=False)),
-                 intern(_check_predicate(p)),
-                 intern(_check_term(o, "object", allow_literal=True)))
-                for s, p, o in triples
-            )
-            return self
-        for triple in triples:
-            self.add(triple)
+        self.add_encoded_many(
+            (intern(_check_term(s, "subject", allow_literal=False)),
+             intern(_check_predicate(p)),
+             intern(_check_term(o, "object", allow_literal=True)))
+            for s, p, o in triples
+        )
         return self
 
     def remove(self, pattern: TriplePattern) -> "Graph":
         """Remove every triple matching ``pattern`` (``None`` is a wildcard)."""
+        if self._frozen:
+            self._refuse()
         encoded = self._encode_pattern(pattern)
         if encoded is None:
             return self
@@ -415,6 +437,8 @@ class Graph:
         return self
 
     def _discard(self, triple: EncodedTriple) -> None:
+        if self._frozen:
+            self._refuse()
         if triple not in self._triples:
             return
         s, p, o = triple
@@ -471,6 +495,8 @@ class Graph:
 
     def clear(self) -> None:
         """Remove every triple (namespace bindings and dictionary are kept)."""
+        if self._frozen:
+            self._refuse()
         if self._journals:
             for triple in self._triples:
                 for journal in self._journals:
@@ -717,7 +743,8 @@ class Graph:
         flat set copy plus O(index keys) — the expensive part of the old
         structural copy, the per-entry nested dict/set duplication, is
         deferred to the entries a mutation actually touches.  Journals
-        are not carried over to the clone.
+        are not carried over to the clone, and the clone of a frozen graph
+        is mutable.
         """
         clone = Graph(identifier=self.identifier)
         clone.namespace_manager = self.namespace_manager.copy()
@@ -732,13 +759,15 @@ class Graph:
         # both sides so each un-shares lazily before its first write.
         # Any finer-grained state from an earlier copy is superseded —
         # over-marking as shared is always safe, it only costs the next
-        # write a shallow copy.
+        # write a shallow copy.  A frozen source never writes, so only
+        # the clone needs the marks.
         clone._spo_cow = dict.fromkeys(clone._spo)
         clone._pos_cow = dict.fromkeys(clone._pos)
         clone._osp_cow = dict.fromkeys(clone._osp)
-        self._spo_cow = dict.fromkeys(self._spo)
-        self._pos_cow = dict.fromkeys(self._pos)
-        self._osp_cow = dict.fromkeys(self._osp)
+        if not self._frozen:
+            self._spo_cow = dict.fromkeys(self._spo)
+            self._pos_cow = dict.fromkeys(self._pos)
+            self._osp_cow = dict.fromkeys(self._osp)
         clone._pred_counts = dict(self._pred_counts)
         return clone
 
@@ -827,6 +856,8 @@ class Graph:
 
     def parse(self, data: str, format: str = "turtle") -> "Graph":
         """Parse serialised RDF into this graph."""
+        if self._frozen:
+            self._refuse()
         from . import ntriples, turtle
 
         if format in ("turtle", "ttl"):

@@ -86,9 +86,10 @@ class ExplanationResponse:
     session_id: Optional[str] = None
     scenario_cache_hit: bool = False
     elapsed_seconds: float = 0.0
-    #: The scenario the explanation was generated from: the caller's
-    #: private COW view — inspecting it (or even mutating it) can never
-    #: affect the service's caches or other requests.  In-process only; :meth:`summary` deliberately omits it.
+    #: The scenario the explanation was generated from: the cached,
+    #: published scenario itself.  Its graphs are frozen, so a write to
+    #: them raises instead of reaching the service's caches or other
+    #: requests.  In-process only; :meth:`summary` deliberately omits it.
     scenario: Optional[Any] = None
 
     @property

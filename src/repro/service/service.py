@@ -223,16 +223,15 @@ class ExplanationService:
         """Serve one request through every cache layer.
 
         Reads are **snapshot-isolated**: the scenario is fetched (or built)
-        once, then the generators run against copy-on-write
-        :meth:`~repro.rdf.graph.Graph.copy` snapshots of its graphs, so a
-        concurrent :meth:`update_scenario` can never be observed mid-flight
-        and reads never wait on the update lock.
+        once and the generators run against its graphs directly.  Published
+        graphs are frozen and :meth:`update_scenario` publishes a new
+        scenario instead of mutating one, so a concurrent update can never
+        be observed mid-flight and reads never wait on the update lock.
         """
         start = time.perf_counter()
         user, context, session = self._resolve(request)
         question = parse_question(request.question)
         scenario, hit = self._scenario(question, user, context)
-        scenario = scenario.snapshot()
         if faults.ACTIVE is not None:
             faults.ACTIVE.fire("query", question=question.question_type)
         explanation = self.engine.explain(

@@ -29,8 +29,8 @@ instance can — which is what carries a working set that thrashes a single
 serial service.
 
 Reads are snapshot-isolated end to end: each shard's service answers
-against COW snapshots of its cached scenarios (see
-:meth:`repro.core.scenario.Scenario.snapshot`), so an ``ask`` racing an
+against its cached scenarios, whose graphs are frozen when published
+(see :meth:`repro.rdf.graph.Graph.freeze`), so an ``ask`` racing an
 ``update_scenario`` on the same session observes either the pre- or the
 post-update scenario, never a torn mixture, and never blocks behind the
 update lock.

@@ -16,6 +16,7 @@ planned path must match row for row.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..rdf.graph import Graph
@@ -373,9 +374,12 @@ class QueryEvaluator:
                     if members:
                         row.setdefault(projection.variable, members[0].get(projection.variable))
                     continue
-                row[projection.variable] = self._evaluate_projection_with_aggregates(
-                    projection.expression, members
-                )
+                try:
+                    row[projection.variable] = self._evaluate_projection_with_aggregates(
+                        projection.expression, members
+                    )
+                except ExpressionError:
+                    row[projection.variable] = None
             keep = True
             for having in query.having:
                 try:
@@ -452,23 +456,21 @@ class QueryEvaluator:
             return values[0] if values else None
         if name == "GROUP_CONCAT":
             return Literal(aggregate.separator.join(str(v) for v in values))
-        numbers = []
-        for value in values:
-            if isinstance(value, Literal) and value.is_numeric():
-                numbers.append(float(value.value))
+        # Ill-typed numerics (e.g. "abc"^^xsd:integer) keep their lexical
+        # string as the value; like non-numerics, they are skipped.
+        numbers = [float(value.value) for value in values
+                   if isinstance(value, Literal) and value.is_numeric()
+                   and not isinstance(value.value, str)]
         if not numbers:
             return None
         if name == "SUM":
-            total = sum(numbers)
-            return Literal(int(total)) if total == int(total) else Literal(total)
+            return _integral_or_double(sum(numbers))
         if name == "AVG":
             return Literal(sum(numbers) / len(numbers))
         if name == "MIN":
-            low = min(numbers)
-            return Literal(int(low)) if low == int(low) else Literal(low)
+            return _integral_or_double(min(numbers))
         if name == "MAX":
-            high = max(numbers)
-            return Literal(int(high)) if high == int(high) else Literal(high)
+            return _integral_or_double(max(numbers))
         raise ExpressionError(f"unsupported aggregate {name}")
 
     def _order(self, query: SelectQuery, solutions: List[Solution]) -> List[Solution]:
@@ -516,6 +518,13 @@ class QueryEvaluator:
                     continue
                 graph.add((s, p, o))
         return Result("CONSTRUCT", graph=graph)
+
+
+def _integral_or_double(value: float) -> Literal:
+    """An aggregate result: an integer literal when ``value`` is integral."""
+    if math.isfinite(value) and value == int(value):
+        return Literal(int(value))
+    return Literal(value)
 
 
 def _as_term_expr(value):

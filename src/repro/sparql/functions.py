@@ -11,6 +11,7 @@ The evaluator follows the SPARQL semantics that matter in practice:
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from typing import Any, Callable, Dict, Mapping, Optional
@@ -98,7 +99,7 @@ def _compare(op: str, left: Any, right: Any) -> bool:
         raise ExpressionError("comparison with unbound value")
     if isinstance(left, Literal) and isinstance(right, Literal):
         if left.is_numeric() and right.is_numeric():
-            lv, rv = float(left.value), float(right.value)
+            lv, rv = _numeric_value(left), _numeric_value(right)
         elif left.datatype == XSD_BOOLEAN and right.datatype == XSD_BOOLEAN:
             lv, rv = left.value, right.value
         else:
@@ -150,11 +151,25 @@ def _arithmetic(op: str, left: Any, right: Any) -> Literal:
         result = lv / rv
     else:
         raise ExpressionError(f"unknown arithmetic operator {op!r}")
+    if not math.isfinite(result):
+        raise ExpressionError(f"non-finite result of {op!r}")
     if result == int(result) and op != "/":
         return Literal(int(result))
     return Literal(float(result), datatype=XSD_DOUBLE)
 
 
+_SIMPLE_FUNCTIONS: Dict[str, Callable] = {}
+
+
+def _register(name: str):
+    def wrapper(func: Callable) -> Callable:
+        _SIMPLE_FUNCTIONS[name] = func
+        return func
+
+    return wrapper
+
+
+@_register("REGEX")
 def _fn_regex(args) -> Literal:
     if len(args) < 2:
         raise ExpressionError("REGEX requires at least two arguments")
@@ -166,6 +181,7 @@ def _fn_regex(args) -> Literal:
     return _boolean(re.search(pattern, text, flags) is not None)
 
 
+@_register("REPLACE")
 def _fn_replace(args) -> Literal:
     if len(args) < 3:
         raise ExpressionError("REPLACE requires three arguments")
@@ -178,6 +194,7 @@ def _fn_replace(args) -> Literal:
     return Literal(re.sub(pattern, replacement, text, flags=flags))
 
 
+@_register("SUBSTR")
 def _fn_substr(args) -> Literal:
     text = _string_value(args[0])
     start = int(_numeric_value(args[1]))
@@ -185,22 +202,6 @@ def _fn_substr(args) -> Literal:
         length = int(_numeric_value(args[2]))
         return Literal(text[start - 1:start - 1 + length])
     return Literal(text[start - 1:])
-
-
-def _fn_if(args, evaluator) -> Any:
-    condition, then_branch, else_branch = args
-    return then_branch if effective_boolean_value(condition) else else_branch
-
-
-_SIMPLE_FUNCTIONS: Dict[str, Callable] = {}
-
-
-def _register(name: str):
-    def wrapper(func: Callable) -> Callable:
-        _SIMPLE_FUNCTIONS[name] = func
-        return func
-
-    return wrapper
 
 
 @_register("STR")
@@ -475,16 +476,15 @@ def evaluate_expression(
         args = [
             evaluate_expression(arg, bindings, exists_evaluator) for arg in expression.args
         ]
-        if name == "REGEX":
-            return _fn_regex(args)
-        if name == "REPLACE":
-            return _fn_replace(args)
-        if name == "SUBSTR":
-            return _fn_substr(args)
         handler = _SIMPLE_FUNCTIONS.get(name)
         if handler is None:
             raise ExpressionError(f"unsupported function {name}")
-        return handler(args)
+        try:
+            return handler(args)
+        except (ArithmeticError, ValueError, re.error) as exc:
+            # An invalid regex, a non-finite number rounded to an integer:
+            # the SPARQL error value, not a crash.
+            raise ExpressionError(f"{name}: {exc}") from exc
     if isinstance(expression, AggregateExpr):
         raise ExpressionError("aggregate used outside of GROUP BY evaluation")
     raise ExpressionError(f"cannot evaluate expression {expression!r}")

@@ -63,13 +63,17 @@ RDF_TYPE = IRI(RDF.type)
 
 _AGGREGATES = {"COUNT", "SUM", "MIN", "MAX", "AVG", "SAMPLE", "GROUP_CONCAT"}
 
+#: Built-in function name -> (fewest, most) arguments, per the SPARQL 1.1
+#: grammar; ``None`` means unbounded.
 _BUILTIN_FUNCTIONS = {
-    "BOUND", "STR", "LANG", "LANGMATCHES", "DATATYPE", "IRI", "URI", "BNODE",
-    "REGEX", "CONTAINS", "STRSTARTS", "STRENDS", "STRBEFORE", "STRAFTER",
-    "STRLEN", "UCASE", "LCASE", "CONCAT", "REPLACE", "SUBSTR",
-    "ABS", "CEIL", "FLOOR", "ROUND", "IF", "COALESCE", "SAMETERM",
-    "ISIRI", "ISURI", "ISBLANK", "ISLITERAL", "ISNUMERIC",
-    "ENCODE_FOR_URI", "YEAR", "MONTH", "DAY",
+    **dict.fromkeys(("BOUND", "STR", "LANG", "DATATYPE", "IRI", "URI", "STRLEN",
+                     "UCASE", "LCASE", "ABS", "CEIL", "FLOOR", "ROUND", "ISIRI",
+                     "ISURI", "ISBLANK", "ISLITERAL", "ISNUMERIC", "ENCODE_FOR_URI",
+                     "YEAR", "MONTH", "DAY"), (1, 1)),
+    **dict.fromkeys(("LANGMATCHES", "CONTAINS", "STRSTARTS", "STRENDS", "STRBEFORE",
+                     "STRAFTER", "SAMETERM"), (2, 2)),
+    "BNODE": (0, 1), "REGEX": (2, 3), "SUBSTR": (2, 3), "REPLACE": (3, 4),
+    "IF": (3, 3), "CONCAT": (0, None), "COALESCE": (0, None),
 }
 
 _STR_UNESCAPE = {
@@ -702,6 +706,10 @@ class _Parser:
                 args: Tuple[Expression, ...] = ()
                 if self.at_punct("("):
                     args = tuple(self._parse_expression_list())
+                fewest, most = _BUILTIN_FUNCTIONS[token.value]
+                if len(args) < fewest or (most is not None and len(args) > most):
+                    raise self.error(f"wrong number of arguments ({len(args)}) "
+                                     f"for {token.value}")
                 return FunctionExpr(token.value, args)
         term = self._parse_graph_term()
         if isinstance(term, Variable):

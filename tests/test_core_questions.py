@@ -12,6 +12,10 @@ from repro.core.questions import (
     parse_question,
 )
 
+#: Multi-word, accented and non-English entity names (two FoodOn aliases
+#: among them) that the parser must extract intact.
+NAMES = ("lait de coco", "bred mouroum", "crème brûlée", "寿司")
+
 
 class TestQuestionObjects:
     def test_why_question_local_name_matches_paper(self):
@@ -47,6 +51,8 @@ class TestQuestionParsing:
         question = parse_question("Why should I eat Cauliflower Potato Curry?")
         assert isinstance(question, WhyQuestion)
         assert question.recipe == "Cauliflower Potato Curry"
+        for name in NAMES:
+            assert parse_question(f"Why should I eat {name}?").recipe == name
 
     def test_parse_why_without_question_mark(self):
         question = parse_question("Why should I eat Sushi")
@@ -59,6 +65,9 @@ class TestQuestionParsing:
         assert isinstance(question, ContrastiveQuestion)
         assert question.primary == "Butternut Squash Soup"
         assert question.secondary == "Broccoli Cheddar Soup"
+        for name in NAMES:
+            question = parse_question(f"Why should I eat {name} over a {name}?")
+            assert (question.primary, question.secondary) == (name, name)
 
     def test_parse_contrastive_recommended_over(self):
         question = parse_question("Why was Sushi recommended over Lentil Soup?")
@@ -95,6 +104,10 @@ class TestQuestionParsing:
         assert isinstance(question, WhatIfIngredientQuestion)
         assert question.ingredient == "Raw Fish"
         assert question.replacement == "Tofu"
+        for name in NAMES:
+            question = parse_question(f"What if we replaced {name} with {name} in {name}?")
+            assert (question.ingredient, question.replacement, question.recipe) == \
+                (name, name, name)
 
     def test_parse_case_insensitive(self):
         question = parse_question("WHY SHOULD I EAT SUSHI?")
@@ -105,8 +118,12 @@ class TestQuestionParsing:
         assert question.recipe == "Sushi"
 
     def test_unparseable_text_raises(self):
-        with pytest.raises(QuestionParseError):
-            parse_question("Tell me a joke about food")
+        # A phrasing that matches but names an empty entity is unparseable too.
+        for text in ("Tell me a joke about food", "Why should I eat ?",
+                     "Why should I eat ... ?", "Why should I eat Sushi over ?",
+                     "What if I was ?", "What if we changed . in Sushi?"):
+            with pytest.raises(QuestionParseError):
+                parse_question(text)
 
     def test_original_text_preserved(self):
         text = "Why should I eat Sushi?"

@@ -1,7 +1,10 @@
 """Unit tests for the indexed triple store."""
 
+import operator
+
 import pytest
 
+from repro.rdf import FrozenGraphError
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import BNode, IRI, Literal
@@ -231,3 +234,74 @@ class TestCardinality:
         assert small_graph.predicate_stats(ex("unknown")) == {
             "count": 0, "distinct_objects": 0,
         }
+
+
+#: A triple whose terms the fixture's dictionary has never seen.
+_FRESH = (ex("dave"), ex("likes"), Literal("tea"))
+
+
+def _encoded_fresh(graph):
+    """An encoded triple the graph does not hold, from already-known IDs."""
+    ids = graph.dictionary.lookup
+    return (ids(ex("bob")), ids(ex("name")), ids(ex("alice")))
+
+
+_MUTATORS = {
+    "add": lambda g: g.add(_FRESH),
+    "addN": lambda g: g.addN([_FRESH]),
+    "addN_same_family": lambda g: g.addN(g.copy()),
+    "iadd": lambda g: operator.iadd(g, [_FRESH]),
+    "remove": lambda g: g.remove((ex("alice"), None, None)),
+    "remove_absent": lambda g: g.remove((ex("nobody"), None, None)),
+    "set": lambda g: g.set((ex("alice"), ex("name"), Literal("Al"))),
+    "clear": lambda g: g.clear(),
+    "parse_turtle": lambda g: g.parse('<http://example.org/dave> '
+                                      '<http://example.org/likes> "tea" .'),
+    "parse_ntriples": lambda g: g.parse('<http://example.org/dave> '
+                                        '<http://example.org/likes> "tea" .',
+                                        format="nt"),
+    "add_encoded": lambda g: g.add_encoded(_encoded_fresh(g)),
+    "add_encoded_many": lambda g: g.add_encoded_many([_encoded_fresh(g)]),
+    "_discard": lambda g: g._discard(next(g.triples_ids())),
+}
+
+
+class TestFreeze:
+    def test_freeze_returns_the_graph_and_sets_the_flag(self, small_graph):
+        assert not small_graph.frozen
+        assert small_graph.freeze() is small_graph
+        assert small_graph.frozen
+        assert issubclass(FrozenGraphError, TypeError)
+
+    @pytest.mark.parametrize("mutate", list(_MUTATORS.values()), ids=list(_MUTATORS))
+    def test_every_mutator_refuses_and_changes_nothing(self, small_graph, mutate):
+        triples, fingerprint = set(small_graph), small_graph.fingerprint()
+        terms = len(small_graph.dictionary)
+        small_graph.freeze()
+        with pytest.raises(FrozenGraphError):
+            mutate(small_graph)
+        assert set(small_graph) == triples
+        assert small_graph.fingerprint() == fingerprint
+        # Refused before interning: the shared dictionary gained no terms.
+        assert len(small_graph.dictionary) == terms
+
+    def test_reads_still_work(self, small_graph):
+        small_graph.freeze()
+        assert small_graph.value(ex("alice"), ex("name")) == Literal("Alice")
+        assert len(small_graph.query("SELECT ?o WHERE { ?s <http://example.org/knows> ?o }")) == 3
+
+    def test_copy_of_a_frozen_graph_is_mutable_and_private(self, small_graph):
+        triples, fingerprint = set(small_graph), small_graph.fingerprint()
+        small_graph.freeze()
+        clone = small_graph.copy()
+        assert not clone.frozen and clone == small_graph
+        # Writes into index entries the clone still shares with the source.
+        clone.add((ex("alice"), ex("knows"), ex("dave")))
+        clone.remove((ex("bob"), ex("knows"), ex("carol")))
+        clone.add(_FRESH)
+        grandchild = clone.copy()
+        grandchild.remove((ex("alice"), None, None))
+        assert set(small_graph) == triples
+        assert small_graph.fingerprint() == fingerprint
+        assert small_graph.cardinality((ex("alice"), ex("knows"), None)) == 2
+        assert clone.cardinality((ex("alice"), ex("knows"), None)) == 3

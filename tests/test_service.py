@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import ExplanationEngine
 from repro.core.queries import contextual_template, contrastive_template
+from repro.core.scenario import ScenarioBuilder
 from repro.owl import MaterializationCache, Reasoner
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import FEO
@@ -121,16 +123,45 @@ class TestMaterializationCache:
         cache = MaterializationCache()
         graph = self._graph()
         cache.materialize(graph)
-        graph.add(_triple(9))
+        graph = graph.copy().add(_triple(9))
         cache.materialize(graph)
         assert cache.stats()["misses"] == 2
 
-    def test_copy_mode_returns_private_graph(self):
+    def test_copy_of_cached_closure_is_private_and_mutable(self):
         cache = MaterializationCache()
         graph = self._graph()
         shared = cache.materialize(graph)
-        private = cache.materialize(graph, copy=True)
-        assert private is not shared and set(private) == set(shared)
+        fingerprint = shared.fingerprint()
+        private = shared.copy()
+        assert private is not shared and private == shared
+        assert not private.frozen
+        private.add(_triple(9))
+        assert shared.fingerprint() == fingerprint
+        assert cache.materialize(graph) is shared
+
+    def test_every_path_returns_a_frozen_closure(self):
+        cache = MaterializationCache()
+        graph = self._graph()
+        base_fingerprint = graph.fingerprint()
+        miss = cache.materialize(graph)
+        hit = cache.materialize(graph)
+        grown = graph.copy().add(_triple(9))
+        extended = cache.extend(grown, base_fingerprint, [_triple(9)])
+        installed_source = self._graph().add(_triple(5))
+        installed = Reasoner(installed_source).run()
+        cache.install(installed_source, installed)
+        assert cache.stats()["misses"] == 1 and cache.stats()["extensions"] == 1
+        for closure in (miss, hit, extended, installed):
+            assert closure.frozen
+        # The asserted graphs are published too, so they freeze with them.
+        assert graph.frozen and grown.frozen and installed_source.frozen
+
+    def test_export_entries_hands_out_the_published_graphs(self):
+        cache = MaterializationCache()
+        graph = self._graph()
+        closure = cache.materialize(graph)
+        [(asserted, exported, post_added)] = cache.export_entries()
+        assert asserted is graph and exported is closure and post_added == ()
 
     def test_lru_bound(self):
         cache = MaterializationCache(max_size=1)
@@ -186,7 +217,7 @@ class TestMaterializationCacheExtension:
         base_fingerprint = graph.fingerprint()
         cache.materialize(graph)
         delta = self._delta()
-        graph.addN(delta)
+        graph = graph.copy().addN(delta)
         extended = cache.extend(graph, base_fingerprint, delta)
         assert set(extended) == set(Reasoner(graph).run())
         assert cache.stats()["extensions"] == 1
@@ -198,7 +229,7 @@ class TestMaterializationCacheExtension:
         base_closure = cache.materialize(graph)
         snapshot = set(base_closure)
         fingerprint = base_closure.fingerprint()
-        graph.addN(self._delta())
+        graph = graph.copy().addN(self._delta())
         extended = cache.extend(graph, base_fingerprint, self._delta())
         assert extended is not base_closure
         assert set(base_closure) == snapshot
@@ -220,7 +251,7 @@ class TestMaterializationCacheExtension:
         base_fingerprint = graph.fingerprint()
         cache.materialize(graph)
         delta = self._delta()
-        graph.addN(delta)
+        graph = graph.copy().addN(delta)
         first = cache.extend(graph, base_fingerprint, delta)
         second = cache.extend(graph, base_fingerprint, delta)
         assert first is second
@@ -241,7 +272,7 @@ class TestMaterializationCacheExtension:
 
         cache.materialize(graph, post_process=post)
         delta = self._delta()
-        graph.addN(delta)
+        graph = graph.copy().addN(delta)
         extended = cache.extend(graph, base_fingerprint, delta, post_process=post)
         assert (IRI("urn:rex"), rdf_type, annotation_class) in extended
         assert (IRI("urn:bella"), rdf_type, annotation_class) in extended
@@ -442,6 +473,15 @@ class TestExplanationService:
         assert not first.scenario_cache_hit
         assert second.scenario_cache_hit
         assert first.explanation.text == second.explanation.text
+        # Reads share the published scenario: no per-ask copy.
+        assert second.scenario.inferred is first.scenario.inferred
+
+    def test_scenarios_without_a_closure_cache_are_published_frozen(self, engine):
+        builder = ScenarioBuilder(engine.catalog, base_graph=engine.builder._base,
+                                  use_closure_cache=False)
+        service = ExplanationService(engine=ExplanationEngine(builder=builder))
+        scenario = service.ask("What if I was pregnant?", persona="paper").scenario
+        assert scenario.asserted.frozen and scenario.inferred.frozen
 
     def test_batch_amortises_scenarios(self, service):
         requests = [ExplanationRequest(question="What if I was pregnant?",

@@ -37,7 +37,7 @@ from dataclasses import replace
 import pytest
 
 from repro.owl import MaterializationCache
-from repro.rdf.graph import Graph
+from repro.rdf.graph import FrozenGraphError, Graph
 from repro.rdf.terms import IRI
 from repro.service import (
     BackpressureError,
@@ -199,7 +199,8 @@ class TestSnapshotIsolation:
         assert results and results[0].explanation.text
 
     def test_snapshot_is_isolated_from_later_cache_state(self, engine):
-        """The scenario handed back with a response is the caller's own view."""
+        """The scenario handed back with a response is frozen: later updates
+        do not reach it, and it cannot write into the service's caches."""
         service = ExplanationService(engine=engine)
         session = service.open_persona_session("paper")
         before = service.ask(QUESTION, session_id=session.session_id)
@@ -209,13 +210,15 @@ class TestSnapshotIsolation:
         # The held snapshot is unaffected by the update, and mutating it
         # cannot leak back into the service's caches.
         assert before.scenario.inferred.fingerprint() == fingerprint
-        before.scenario.inferred.add(
-            (before.scenario.user_iri, before.scenario.question_iri,
-             before.scenario.user_iri))
+        with pytest.raises(FrozenGraphError):
+            before.scenario.inferred.add(
+                (before.scenario.user_iri, before.scenario.question_iri,
+                 before.scenario.user_iri))
+        # The paper persona already likes Sushi, so the next ask answers
+        # from the same cached closure, unchanged by the refused write.
         after = service.ask(QUESTION, session_id=session.session_id)
-        assert before.scenario.inferred.fingerprint() != fingerprint
-        assert after.scenario.inferred.fingerprint() != \
-            before.scenario.inferred.fingerprint()
+        assert after.scenario.inferred is before.scenario.inferred
+        assert after.scenario.inferred.fingerprint() == fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +720,16 @@ class TestInternalErrors:
         assert server.internal_errors == 1
 
     def test_unknown_entities_stay_400_with_prose_message(self, server):
-        status, body = _request(server.url, "/sessions", {"persona": "nope"})
-        assert status == 400 and body["error"] == "bad_request"
-        # UnknownEntityError renders as prose, not KeyError's quoted repr.
-        assert "nope" in body["message"]
-        assert not body["message"].startswith('"')
+        # Unknown foods keep their full multi-word / accented / non-English
+        # names through the question parser into the error message.
+        for path, payload, name in (
+                ("/sessions", {"persona": "nope"}, "nope"),
+                ("/ask", {"question": "Why should I eat lait de coco?",
+                          "persona": "paper"}, "lait de coco"),
+                ("/ask", {"question": "Why should I eat 寿司 over crème brûlée?",
+                          "persona": "paper"}, "寿司")):
+            status, body = _request(server.url, path, payload)
+            assert status == 400 and body["error"] == "bad_request"
+            # UnknownEntityError renders as prose, not KeyError's quoted repr.
+            assert body["message"].startswith("Unknown") and name in body["message"]
         assert server.internal_errors == 0

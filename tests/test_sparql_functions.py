@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdf.terms import BNode, IRI, Literal, Variable, XSD_BOOLEAN
+from repro.rdf.terms import BNode, IRI, Literal, Variable, XSD_BOOLEAN, XSD_INTEGER
 from repro.sparql.algebra import (
     BinaryExpr,
     FunctionExpr,
@@ -202,3 +202,15 @@ class TestTermFunctions:
     def test_unsupported_function_raises(self):
         with pytest.raises(ExpressionError):
             evaluate(FunctionExpr("UUIDISH", (lit("x"),)))
+
+    @pytest.mark.parametrize("expression", [
+        FunctionExpr("REGEX", (lit("a"), lit("("))),
+        FunctionExpr("REPLACE", (lit("a"), lit("["), lit("b"))),
+        FunctionExpr("ROUND", (TermExpr(Literal(float("inf"))),)),
+        FunctionExpr("ABS", (TermExpr(Literal(float("nan"))),)),
+        BinaryExpr("*", TermExpr(Literal(1e300)), TermExpr(Literal(1e300))),
+        BinaryExpr("<", TermExpr(Literal("abc", datatype=XSD_INTEGER)), lit(1)),
+    ])
+    def test_invalid_regex_and_non_finite_numbers_are_expression_errors(self, expression):
+        with pytest.raises(ExpressionError):
+            evaluate(expression)

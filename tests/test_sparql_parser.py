@@ -135,6 +135,12 @@ class TestSelectParsing:
         with pytest.raises(SparqlSyntaxError):
             parse("SELECT WHERE { ?s ?p ?o }")
 
+    @pytest.mark.parametrize("call", ["isIRI()", "BOUND", "STR(?s, ?s)",
+                                      "REGEX(?s)", "IF(?s, ?s)", "SUBSTR(?s, 1, 2, 3)"])
+    def test_builtin_arity_is_checked(self, call):
+        with pytest.raises(SparqlSyntaxError, match="wrong number of arguments"):
+            parse(f"SELECT ?s WHERE {{ ?s ?p ?o FILTER ({call}) }}")
+
 
 class TestPatternParsing:
     def test_filter_expression(self):
