@@ -327,16 +327,16 @@ def test_sharded_fleet_is_3x_serial_capacity_under_mixed_traffic(bench_engine, t
     assert stats.scenario_updates == sum(1 for s in sessions if s[3])
     assert stats.requests_rejected == 0, \
         "benchmark clients are self-throttling; nothing should be shed"
-    assert stats.queue_depths == [0] * NUM_SHARDS
+    assert [s.queue_depth for s in stats.per_shard] == [0] * NUM_SHARDS
 
     # --- zero-warm-up + single-flight accounting ------------------------
     # Every materialisation the whole run paid is one herd tenant's first
     # touch: the seeded working set never missed (updates take the
     # incremental extend path), and single-flight collapsed each herd to
     # exactly one build with the other in-flight ask waiting on it.
-    closure_misses = sum(s.closure_cache.get("misses", 0) for s in stats.shards)
+    closure_misses = sum(s.closure_cache.get("misses", 0) for s in stats.per_shard)
     single_flight_waits = sum(s.closure_cache.get("single_flight_waits", 0)
-                              for s in stats.shards)
+                              for s in stats.per_shard)
     assert closure_misses == HERD_TENANTS, \
         f"expected only the {HERD_TENANTS} herd tenants to materialise, " \
         f"got {closure_misses} closure misses"

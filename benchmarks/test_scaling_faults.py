@@ -296,7 +296,7 @@ def test_fleet_serves_correctly_under_seeded_chaos(tmp_path):
             except InjectedFault:
                 continue
     assert opened, "sustained failures never opened the victim shard's breaker"
-    breaker_opens = fleet.stats().breaker_opens
+    breaker_opens = fleet.stats().breaker["opens"]
     assert breaker_opens >= 1
 
     # With faults gone, honouring Retry-After must get the tenant served
@@ -336,7 +336,7 @@ def test_fleet_serves_correctly_under_seeded_chaos(tmp_path):
     print(f"\nfault gate: {3 * PHASE_REQUESTS} requests over {TENANTS} tenants "
           f"(scale {BENCH_SCALE}); chaos injected "
           f"{spikes} spikes / {errors} errors, {chaos_retries} client retries; "
-          f"{final.breaker_opens} breaker opens; "
+          f"{final.breaker['opens']} breaker opens; "
           f"p99 clean {p99_clean * 1000:.1f} ms -> chaos "
           f"{_p99(chaos_lat) * 1000:.1f} ms -> recovered "
           f"{p99_recovered * 1000:.1f} ms (ceiling {p99_ceiling * 1000:.1f} ms)")
@@ -352,7 +352,7 @@ def test_fleet_serves_correctly_under_seeded_chaos(tmp_path):
         "injected_spikes": spikes,
         "injected_errors": errors,
         "client_retries_under_chaos": chaos_retries,
-        "breaker_opens": final.breaker_opens,
+        "breaker_opens": final.breaker["opens"],
         "incorrect_answers": 0,
         "hung_requests": 0,
         "p99_clean_ms": round(p99_clean * 1000, 2),

@@ -62,6 +62,7 @@ def _build_table(engine, user, context):
             "implemented": type_key in engine.supported_explanation_types,
             "non_empty": not explanation.is_empty,
             "evidence_items": len(explanation.items),
+            "text": explanation.text,
         })
     return rows
 

@@ -284,9 +284,10 @@ def _cmd_snapshot(engine: Optional[ExplanationEngine], args: argparse.Namespace)
             scenario = engine.build_scenario(
                 parse_question(question_text), user, context)
             # The closure cache keys entries by the asserted graph's
-            # fingerprint; remember which persona each warm entry serves
-            # so the sharded service can seed it on that persona's shard.
-            labels[scenario.asserted.fingerprint()] = persona_key
+            # fingerprint; label each warm entry with the profile it
+            # serves so the sharded service seeds it on the shard that
+            # routes that profile's traffic.
+            labels[scenario.asserted.fingerprint()] = user.identifier
     closures = []
     cache = builder.closure_cache
     if cache is not None:

@@ -27,7 +27,7 @@ from ..errors import (
 from .api import BackpressureError, ExplanationRequest, ExplanationResponse, ServiceStats
 from .server import ExplanationServer
 from .service import ExplanationService
-from .shards import CircuitBreaker, FleetStats, ServiceShard, ShardedExplanationService
+from .shards import CircuitBreaker, ServiceShard, ShardedExplanationService
 
 __all__ = [
     "BackpressureError",
@@ -37,7 +37,6 @@ __all__ = [
     "ExplanationResponse",
     "ExplanationServer",
     "ExplanationService",
-    "FleetStats",
     "ServiceDrainingError",
     "ServiceShard",
     "ServiceStats",

@@ -7,8 +7,10 @@ importing engine internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+import math
+import textwrap
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.explanation import Explanation
 from ..errors import UnavailableError
@@ -20,6 +22,8 @@ __all__ = [
     "ExplanationRequest",
     "ExplanationResponse",
     "ServiceStats",
+    "latency_summary",
+    "percentile",
 ]
 
 
@@ -110,13 +114,63 @@ class ExplanationResponse:
         }
 
 
+def percentile(samples: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..1) of ``samples`` by rank (0.0 if empty)."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+    return ordered[rank]
+
+
+def latency_summary(samples: Sequence[float]) -> Dict[str, float]:
+    """``{"p50", "p99", "max_ms", "samples"}`` over latencies in seconds."""
+    return {
+        "p50": percentile(samples, 0.50) * 1000.0,
+        "p99": percentile(samples, 0.99) * 1000.0,
+        "max_ms": max(samples) * 1000.0 if samples else 0.0,
+        "samples": float(len(samples)),
+    }
+
+
+#: Field metadata for a section that is the same on every shard of a
+#: fleet (process-wide, or describing the one shared base graph): a fold
+#: takes it once instead of summing it.
+_ONCE = {"fold": "once"}
+#: Field metadata for a field a fold computes itself instead of folding.
+_DERIVED = {"fold": "derived"}
+
+
+def _add(values: List[Any]) -> Any:
+    """Sum ints; sum the numeric entries of dicts key by key."""
+    if not isinstance(values[0], dict):
+        return sum(values)
+    total: Dict[str, Any] = {}
+    for value in values:
+        for key, item in value.items():
+            if isinstance(item, (int, float)):
+                total[key] = total.get(key, 0) + item
+    return total
+
+
+def _render(value: Any) -> str:
+    if isinstance(value, dict):
+        return " ".join(f"{key} {_render(item)}"
+                        for key, item in sorted(value.items())) or "-"
+    if isinstance(value, float):
+        return f"{value:.1f}"
+    return str(value)
+
+
 @dataclass
 class ServiceStats:
-    """Aggregate counters describing one service instance's lifetime.
+    """Counters of one service instance, one shard, or a whole fleet.
 
-    ``prepared_query_cache`` is the exception to "one instance": prepared
-    queries are cached process-wide (see :func:`repro.sparql.prepare_cached`),
-    so those counters include traffic from every service in the process.
+    A fleet's snapshot is its shards' snapshots folded by
+    :meth:`combine`, which keeps them in :attr:`per_shard`.  Sections
+    marked ``_ONCE`` are not per instance: prepared queries and query
+    plans are cached process-wide (see :func:`repro.sparql.prepare_cached`)
+    and the term store describes the base graph every shard shares.
     """
 
     requests_served: int = 0
@@ -133,68 +187,76 @@ class ServiceStats:
     #: Circuit-breaker telemetry for this instance's shard:
     #: ``{"state": "closed|open|half_open", "opens": ..., "failures": ...,
     #: "timeouts": ..., "rejected_fast": ...}`` (empty for an unsharded
-    #: service).
+    #: service; a fleet sums the counts and leaves ``state`` per shard).
     breaker: Dict[str, Any] = field(default_factory=dict)
     scenario_cache_hits: int = 0
     scenario_cache_misses: int = 0
     scenario_updates: int = 0
     closure_cache: Dict[str, int] = field(default_factory=dict)
-    prepared_query_cache: Dict[str, int] = field(default_factory=dict)
-    query_planner: Dict[str, int] = field(default_factory=dict)
+    prepared_query_cache: Dict[str, int] = field(default_factory=dict, metadata=_ONCE)
+    query_planner: Dict[str, int] = field(default_factory=dict, metadata=_ONCE)
     #: Storage-engine counters for the engine's base graph family: interned
     #: terms by kind plus the encoded triple count (empty until the lazy
     #: engine is built).
-    term_store: Dict[str, int] = field(default_factory=dict)
+    term_store: Dict[str, int] = field(default_factory=dict, metadata=_ONCE)
     active_sessions: int = 0
     #: Sessions transparently rebuilt from their persona after eviction
     #: (see :class:`repro.users.sessions.SessionRegistry`).
     session_rebuilds: int = 0
-    #: Serve-latency stats over a sliding window of recent requests:
-    #: ``{"p50": ..., "p99": ..., "max_ms": ..., "samples": ...}``
-    #: (milliseconds).  ``samples`` and ``max_ms`` keep the percentiles
-    #: honest: the window mixes warm-up and steady-state requests, so a
-    #: small sample count or an outsized max flags numbers not to trust
-    #: as steady-state.
-    latency_ms: Dict[str, float] = field(default_factory=dict)
+    #: Serve-latency stats over a sliding window of recent requests (see
+    #: :func:`latency_summary`; milliseconds).  ``samples`` and ``max_ms``
+    #: keep the percentiles honest: the window mixes warm-up and
+    #: steady-state requests, so a small sample count or an outsized max
+    #: flags numbers not to trust as steady-state.
+    latency_ms: Dict[str, float] = field(default_factory=dict, metadata=_DERIVED)
     #: Callers waiting for a slot on this instance's shard (0 for an
     #: unsharded service, which has no admission gate).
     queue_depth: int = 0
+    #: The shard snapshots a fleet's totals were folded from (empty except
+    #: on a fleet).
+    per_shard: List["ServiceStats"] = field(default_factory=list, metadata=_DERIVED)
+
+    @classmethod
+    def combine(cls, parts: Sequence["ServiceStats"],
+                latency_samples: Sequence[float]) -> "ServiceStats":
+        """Fold shard snapshots into one fleet snapshot.
+
+        Ints add, and so do the numeric entries of dict fields, key by
+        key; non-numeric entries (a breaker's ``state``) stay per shard.
+        ``_ONCE`` sections are taken from the first part, and
+        ``latency_ms`` is recomputed over ``latency_samples`` (seconds),
+        the shards' merged windows.
+        """
+        folded: Dict[str, Any] = {}
+        for spec in fields(cls):
+            rule = spec.metadata.get("fold")
+            if rule == "derived":
+                continue
+            values = [getattr(part, spec.name) for part in parts]
+            folded[spec.name] = dict(values[0]) if rule == "once" else _add(values)
+        return cls(**folded, latency_ms=latency_summary(latency_samples),
+                   per_shard=list(parts))
+
+    def to_dict(self) -> Dict[str, Any]:
+        """A JSON-friendly view (the HTTP ``GET /stats`` payload)."""
+        return asdict(self)
 
     def to_text(self) -> str:
-        """Render the counters as the ``serve --stats`` footer."""
-        lines = [
-            f"requests served:        {self.requests_served}",
-            f"requests rejected:      {self.requests_rejected} (backpressure)",
-            f"requests timed out:     {self.requests_timed_out} "
-            f"({self.requests_cancelled} cancelled by drain)",
-            f"breaker:                {self.breaker.get('state', 'n/a')} "
-            f"({self.breaker.get('opens', 0)} opens, "
-            f"{self.breaker.get('rejected_fast', 0)} fast-failed)",
-            f"serve latency:          p50 {self.latency_ms.get('p50', 0.0):.1f} ms / "
-            f"p99 {self.latency_ms.get('p99', 0.0):.1f} ms / "
-            f"max {self.latency_ms.get('max_ms', 0.0):.1f} ms "
-            f"({int(self.latency_ms.get('samples', 0))} samples)",
-            f"scenario cache:         {self.scenario_cache_hits} hits / "
-            f"{self.scenario_cache_misses} misses",
-            f"scenario updates:       {self.scenario_updates}",
-            f"closure cache:          {self.closure_cache.get('hits', 0)} hits / "
-            f"{self.closure_cache.get('misses', 0)} misses "
-            f"({self.closure_cache.get('size', 0)} entries, "
-            f"{self.closure_cache.get('extensions', 0)} incremental extensions)",
-            f"prepared-query cache:   {self.prepared_query_cache.get('hits', 0)} hits / "
-            f"{self.prepared_query_cache.get('misses', 0)} misses "
-            f"({self.prepared_query_cache.get('size', 0)} entries, process-wide)",
-            f"query planner:          {self.query_planner.get('plan_cache_hits', 0)} plan-cache hits / "
-            f"{self.query_planner.get('plans_compiled', 0)} compiled "
-            f"({self.query_planner.get('reorderings_applied', 0)} join reorders, "
-            f"{self.query_planner.get('filters_pushed', 0)} filters pushed, "
-            f"{self.query_planner.get('encoded_bgps', 0)} encoded BGP joins, process-wide)",
-            f"term store:             {self.term_store.get('interned_terms', 0)} interned terms "
-            f"({self.term_store.get('iris', 0)} IRIs, "
-            f"{self.term_store.get('bnodes', 0)} bnodes, "
-            f"{self.term_store.get('literals', 0)} literals) / "
-            f"{self.term_store.get('encoded_triples', 0)} encoded base triples",
-            f"active sessions:        {self.active_sessions} "
-            f"({self.session_rebuilds} rebuilt after eviction)",
-        ]
+        """Render one line per field: the ``serve --stats`` footer.
+
+        Dicts render inline as sorted ``key value`` pairs; each
+        :attr:`per_shard` record follows, indented under its index.
+        """
+        lines = []
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            label = spec.name.replace("_", " ") + ":"
+            if isinstance(value, list):
+                if value:
+                    lines.append(label)
+                for index, part in enumerate(value):
+                    lines.append(f"  [{index}]")
+                    lines.append(textwrap.indent(part.to_text(), "    "))
+                continue
+            lines.append(f"{label:<24}{_render(value)}")
         return "\n".join(lines)

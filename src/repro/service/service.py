@@ -31,7 +31,6 @@ Typical use::
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -48,21 +47,12 @@ from ..users.context import SystemContext
 from ..users.personas import persona as persona_lookup
 from ..users.profile import UserProfile
 from ..users.sessions import SessionRegistry, UserSession
-from .api import ExplanationRequest, ExplanationResponse, ServiceStats
+from .api import ExplanationRequest, ExplanationResponse, ServiceStats, latency_summary
 
-__all__ = ["ExplanationService", "percentile"]
+__all__ = ["ExplanationService"]
 
 #: Cache key identifying a scenario: all components are frozen dataclasses.
 ScenarioKey = Tuple[Question, UserProfile, SystemContext]
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..1) of ``samples`` by rank (0.0 if empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[rank]
 
 
 class ExplanationService:
@@ -397,7 +387,6 @@ class ExplanationService:
         engine build.
         """
         closure = self._engine.builder.closure_cache if self._engine is not None else None
-        samples = self.latency_snapshot()
         return ServiceStats(
             requests_served=self.requests_served,
             scenario_cache_hits=self.scenario_cache_hits,
@@ -410,10 +399,5 @@ class ExplanationService:
                         if self._engine is not None else {}),
             active_sessions=len(self.registry),
             session_rebuilds=self.registry.rebuilds,
-            latency_ms={
-                "p50": percentile(samples, 0.50) * 1000.0,
-                "p99": percentile(samples, 0.99) * 1000.0,
-                "max_ms": max(samples) * 1000.0 if samples else 0.0,
-                "samples": float(len(samples)),
-            },
+            latency_ms=latency_summary(self.latency_snapshot()),
         )

@@ -22,11 +22,11 @@ owning
 Routing is stable and stateless: a session id minted by this layer is
 ``s<shard>:<n>``, so any front-end thread can route a follow-up request
 with one string parse; persona- or profile-addressed requests hash their
-tenant key (CRC-32) so one tenant's traffic always lands on the shard
-holding its warm caches.  Aggregate capacity therefore scales linearly
-with the shard count — N shards hold N× the scenarios and closures one
-instance can — which is what carries a working set that thrashes a single
-serial service.
+profile's ``identifier`` (CRC-32) so one tenant's traffic always lands on
+the shard holding its warm caches.  Aggregate capacity therefore scales
+linearly with the shard count — N shards hold N× the scenarios and
+closures one instance can — which is what carries a working set that
+thrashes a single serial service.
 
 Reads are snapshot-isolated end to end: each shard's service answers
 against its cached scenarios, whose graphs are frozen when published
@@ -68,7 +68,6 @@ import threading
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import ExplanationEngine
@@ -90,9 +89,9 @@ from ..users.personas import persona as persona_lookup
 from ..users.profile import UserProfile
 from ..users.sessions import SessionRegistry, UserSession
 from .api import BackpressureError, ExplanationRequest, ExplanationResponse, ServiceStats
-from .service import ExplanationService, percentile
+from .service import ExplanationService
 
-__all__ = ["CircuitBreaker", "ServiceShard", "ShardedExplanationService", "FleetStats"]
+__all__ = ["CircuitBreaker", "ServiceShard", "ShardedExplanationService"]
 
 
 class CircuitBreaker:
@@ -431,81 +430,6 @@ class ServiceShard:
         return stats
 
 
-@dataclass
-class FleetStats:
-    """Aggregated view over every shard, plus the per-shard breakdown."""
-
-    requests_served: int = 0
-    requests_rejected: int = 0
-    requests_timed_out: int = 0
-    requests_cancelled: int = 0
-    scenario_cache_hits: int = 0
-    scenario_cache_misses: int = 0
-    scenario_updates: int = 0
-    active_sessions: int = 0
-    session_rebuilds: int = 0
-    breaker_opens: int = 0
-    breaker_states: List[str] = field(default_factory=list)
-    queue_depths: List[int] = field(default_factory=list)
-    latency_ms: Dict[str, float] = field(default_factory=dict)
-    shards: List[ServiceStats] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        """Render the fleet counters as the ``serve --stats`` footer."""
-        lines = [
-            f"shards:                 {len(self.shards)}",
-            f"requests served:        {self.requests_served}",
-            f"requests rejected:      {self.requests_rejected} (backpressure)",
-            f"requests timed out:     {self.requests_timed_out} "
-            f"({self.requests_cancelled} cancelled by drain)",
-            f"breakers:               {self.breaker_opens} opens {self.breaker_states}",
-            f"serve latency:          p50 {self.latency_ms.get('p50', 0.0):.1f} ms / "
-            f"p99 {self.latency_ms.get('p99', 0.0):.1f} ms / "
-            f"max {self.latency_ms.get('max_ms', 0.0):.1f} ms "
-            f"({int(self.latency_ms.get('samples', 0))} samples)",
-            f"scenario cache:         {self.scenario_cache_hits} hits / "
-            f"{self.scenario_cache_misses} misses",
-            f"scenario updates:       {self.scenario_updates}",
-            f"queue depths:           {self.queue_depths}",
-            f"active sessions:        {self.active_sessions} "
-            f"({self.session_rebuilds} rebuilt after eviction)",
-        ]
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-friendly view (used by the HTTP ``/stats`` endpoint)."""
-        return {
-            "shards": len(self.shards),
-            "requests_served": self.requests_served,
-            "requests_rejected": self.requests_rejected,
-            "requests_timed_out": self.requests_timed_out,
-            "requests_cancelled": self.requests_cancelled,
-            "scenario_cache_hits": self.scenario_cache_hits,
-            "scenario_cache_misses": self.scenario_cache_misses,
-            "scenario_updates": self.scenario_updates,
-            "active_sessions": self.active_sessions,
-            "session_rebuilds": self.session_rebuilds,
-            "breaker_opens": self.breaker_opens,
-            "breaker_states": list(self.breaker_states),
-            "queue_depths": list(self.queue_depths),
-            "latency_ms": dict(self.latency_ms),
-            "per_shard": [
-                {
-                    "requests_served": s.requests_served,
-                    "requests_rejected": s.requests_rejected,
-                    "requests_timed_out": s.requests_timed_out,
-                    "requests_cancelled": s.requests_cancelled,
-                    "scenario_cache_hits": s.scenario_cache_hits,
-                    "scenario_cache_misses": s.scenario_cache_misses,
-                    "queue_depth": s.queue_depth,
-                    "active_sessions": s.active_sessions,
-                    "breaker": dict(s.breaker),
-                }
-                for s in self.shards
-            ],
-        }
-
-
 class ShardedExplanationService:
     """Hash-sharded, admission-controlled, snapshot-isolated explanation serving.
 
@@ -632,10 +556,11 @@ class ShardedExplanationService:
         """Install snapshot closure entries into the shard caches.
 
         A labelled entry goes only to its label's home shard (the same
-        CRC-32 routing requests use, so the warm closure sits exactly
-        where that tenant's traffic lands); unlabelled entries go to every
-        shard.  The graphs are shared read-only between shards — the
-        caches never mutate a published entry.
+        CRC-32 routing requests use, so a closure labelled with a
+        profile's ``identifier`` sits exactly where that tenant's traffic
+        lands); unlabelled entries go to every shard.  The graphs are
+        shared read-only between shards — the caches never mutate a
+        published entry.
         """
         for entry in loaded.closures:
             if entry.label is None:
@@ -744,11 +669,13 @@ class ShardedExplanationService:
     def _shard_for_request(self, request: ExplanationRequest) -> ServiceShard:
         if request.session_id is not None:
             return self.shard_for_session(request.session_id)
-        if request.user is not None:
-            return self._shard_by_key(request.user.identifier)
-        if request.persona is not None:
-            return self._shard_by_key(request.persona)
-        return self._shard_by_key(self.default_persona)
+        # A persona routes by its profile's identifier, like the persona
+        # sessions and the snapshot labels for it, so all of one tenant's
+        # traffic meets the same warm caches.
+        user = request.user
+        if user is None:
+            user, _ = persona_lookup(request.persona or self.default_persona)
+        return self._shard_by_key(user.identifier)
 
     # ------------------------------------------------------------------
     # Sessions
@@ -860,30 +787,9 @@ class ShardedExplanationService:
         for shard in self._shards:
             shard.service.clear_caches()
 
-    def stats(self) -> FleetStats:
-        """Aggregate counters plus the per-shard breakdown."""
-        per_shard = [shard.stats() for shard in self._shards]
+    def stats(self) -> ServiceStats:
+        """The shards' records folded by :meth:`ServiceStats.combine`."""
         samples: List[float] = []
         for shard in self._shards:
             samples.extend(shard.service.latency_snapshot())
-        return FleetStats(
-            requests_served=sum(s.requests_served for s in per_shard),
-            requests_rejected=sum(s.requests_rejected for s in per_shard),
-            requests_timed_out=sum(s.requests_timed_out for s in per_shard),
-            requests_cancelled=sum(s.requests_cancelled for s in per_shard),
-            scenario_cache_hits=sum(s.scenario_cache_hits for s in per_shard),
-            scenario_cache_misses=sum(s.scenario_cache_misses for s in per_shard),
-            scenario_updates=sum(s.scenario_updates for s in per_shard),
-            active_sessions=sum(s.active_sessions for s in per_shard),
-            session_rebuilds=sum(s.session_rebuilds for s in per_shard),
-            breaker_opens=sum(s.breaker.get("opens", 0) for s in per_shard),
-            breaker_states=[s.breaker.get("state", "closed") for s in per_shard],
-            queue_depths=[s.queue_depth for s in per_shard],
-            latency_ms={
-                "p50": percentile(samples, 0.50) * 1000.0,
-                "p99": percentile(samples, 0.99) * 1000.0,
-                "max_ms": max(samples) * 1000.0 if samples else 0.0,
-                "samples": float(len(samples)),
-            },
-            shards=per_shard,
-        )
+        return ServiceStats.combine([shard.stats() for shard in self._shards], samples)

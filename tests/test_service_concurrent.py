@@ -338,7 +338,7 @@ class TestLoadShedding:
             stats = sharded.stats()
             assert stats.requests_rejected == 1
             assert "requests rejected:      1" in stats.to_text()
-            assert stats.queue_depths == [0]
+            assert [s.queue_depth for s in stats.per_shard] == [0]
             # Back to normal service after the burst drained.
             assert sharded.ask(QUESTION, persona="paper").explanation.text
         finally:
