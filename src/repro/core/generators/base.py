@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ...rdf.terms import IRI, Literal
 from ..explanation import Explanation
@@ -34,12 +34,3 @@ class ExplanationGenerator:
     def generate(self, scenario: Scenario, **kwargs) -> Explanation:
         """Produce an :class:`Explanation` for the scenario's question."""
         raise NotImplementedError
-
-    def _empty(self, scenario: Scenario, text: str = "", query: Optional[str] = None) -> Explanation:
-        return Explanation(
-            explanation_type=self.explanation_type,
-            question=scenario.question,
-            items=[],
-            text=text,
-            query=query,
-        )

@@ -8,7 +8,7 @@ sub-property lattice around ``isCharacteristicOf`` / ``isOpposedBy``.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI
@@ -71,11 +71,6 @@ class _Hierarchy:
                 if child != other and child in self.descendants(other):
                     redundant.add(child)
         return children - redundant
-
-    def roots(self) -> Set[IRI]:
-        """Nodes with no parents."""
-        nodes = set(self._parents) | set(self._children)
-        return {node for node in nodes if not self._parents.get(node)}
 
     def is_a(self, node: IRI, ancestor: IRI) -> bool:
         """True if ``node`` is (transitively) below ``ancestor`` or equal to it."""

@@ -675,16 +675,6 @@ class Graph:
         for s, _, o in self.triples((None, predicate, None)):
             yield s, o
 
-    def subject_predicates(self, obj: Optional[Node] = None) -> Iterator[Tuple[Node, IRI]]:
-        """Yield ``(subject, predicate)`` pairs for every triple with object ``obj``."""
-        for s, p, _ in self.triples((None, None, obj)):
-            yield s, p
-
-    def predicate_objects(self, subject: Optional[Node] = None) -> Iterator[Tuple[IRI, Node]]:
-        """Yield ``(predicate, object)`` pairs for every triple with ``subject``."""
-        for _, p, o in self.triples((subject, None, None)):
-            yield p, o
-
     def value(
         self,
         subject: Optional[Node] = None,

@@ -148,9 +148,6 @@ class NamespaceManager:
             return None
         return f"{prefix}:{local}"
 
-    def prefix_for(self, namespace: str) -> Optional[str]:
-        return self._ns_to_prefix.get(str(namespace))
-
     def namespace_for(self, prefix: str) -> Optional[str]:
         return self._prefix_to_ns.get(prefix)
 

@@ -154,12 +154,6 @@ class BNode(Identifier):
     def __hash__(self) -> int:
         return str.__hash__(self) ^ 0x5F5F
 
-    @classmethod
-    def reset_counter(cls) -> None:
-        """Reset the automatic label counter (useful for deterministic tests)."""
-        global _bnode_counter
-        _bnode_counter = itertools.count()
-
 
 XSD_STRING = IRI(_XSD + "string")
 XSD_BOOLEAN = IRI(_XSD + "boolean")
@@ -285,9 +279,6 @@ class Literal(Term):
 
     def is_numeric(self) -> bool:
         return self._datatype in _NUMERIC_DATATYPES
-
-    def to_python(self) -> Any:
-        return self._value
 
     # -- serialisation ---------------------------------------------------
     def n3(self) -> str:

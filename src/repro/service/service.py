@@ -200,11 +200,25 @@ class ExplanationService:
         scenario = self.engine.build_scenario(question, user, context)
         with self._scenario_lock:
             self.scenario_cache_misses += 1
-            self._scenarios[key] = scenario
-            self._scenarios.move_to_end(key)
-            while len(self._scenarios) > self.max_cached_scenarios:
-                self._scenarios.popitem(last=False)
+            self._cache_scenario(key, scenario)
         return scenario, False
+
+    def _cache_scenario(self, key: ScenarioKey, scenario: Scenario) -> None:
+        """Cache ``scenario`` under ``key``; the caller holds ``_scenario_lock``.
+
+        Entries are bounded by ``max_cached_scenarios`` and by the distinct
+        closures they hold, which may not outnumber the closure cache's
+        entries.  A closure is most of a scenario's memory: without the
+        second bound the scenario cache kept closures alive long after
+        the closure cache had evicted them.
+        """
+        self._scenarios[key] = scenario
+        self._scenarios.move_to_end(key)
+        closure_cache = self.engine.builder.closure_cache
+        budget = closure_cache.max_size if closure_cache is not None else self.max_cached_scenarios
+        while (len(self._scenarios) > self.max_cached_scenarios
+               or len({id(cached.inferred) for cached in self._scenarios.values()}) > budget):
+            self._scenarios.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Serving
@@ -308,11 +322,7 @@ class ExplanationService:
             )
             with self._scenario_lock:
                 self.scenario_updates += 1
-                key: ScenarioKey = (parsed, updated.user, resolved_context)
-                self._scenarios[key] = updated
-                self._scenarios.move_to_end(key)
-                while len(self._scenarios) > self.max_cached_scenarios:
-                    self._scenarios.popitem(last=False)
+                self._cache_scenario((parsed, updated.user, resolved_context), updated)
             if session is not None:
                 session.user = updated.user
         return updated

@@ -28,9 +28,16 @@ algebra into an executable plan before evaluation:
 * **Dictionary-ID joins** — every BGP, property paths included, joins on
   the graph's integer term IDs and decodes only where terms become
   observable (:class:`PlanEvaluator` states the invariant).
+* **Disjunctive equality as a UNION of bound joins** — a filter
+  ``?c = ?x1 || … || ?c = ?xn`` over variables that only their own
+  triples bind becomes one branch per ``?xi``, with ``?xi`` replaced by
+  ``?c`` (:class:`DisjunctiveUnion`), instead of a cross product filtered
+  afterwards (Schmidt, Meier, Lausen, "Foundations of SPARQL Query
+  Optimization", ICDT 2010).  This is Listing 1's shape.
 
-Reordering only happens *inside* one merged BGP and filters only move
-*earlier* when provably equivalent, so planned evaluation is
+Reordering only happens *inside* one merged BGP, filters only move
+*earlier* when provably equivalent and the disjunctive rewrite only fires
+where it cannot change a DISTINCT or ASK answer, so planned evaluation is
 row-equivalent to the naive path (``PreparedQuery.evaluate_naive`` /
 ``evaluate_query``), which the differential suite checks on randomized
 graphs and queries.  Plans are compiled once per
@@ -47,9 +54,8 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, replace
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..rdf.dictionary import KIND_LITERAL
 from ..rdf.graph import Graph
-from ..rdf.terms import BNode, IRI, Variable
+from ..rdf.terms import Variable
 from .algebra import (
     AggregateExpr,
     AskQuery,
@@ -69,19 +75,19 @@ from .algebra import (
     Pattern,
     Query,
     SelectQuery,
-    TermExpr,
     TriplePattern,
     UnaryExpr,
     UnionPattern,
     ValuesPattern,
     VariableExpr,
 )
-from .evaluator import QueryEvaluator, Solution
+from .evaluator import QueryEvaluator, Solution, _contains_aggregate
 from .functions import ExpressionError, effective_boolean_value, evaluate_expression
 from .paths import evaluate_path
 
 __all__ = [
     "CompiledPlan",
+    "DisjunctiveUnion",
     "PlanEvaluator",
     "PlannedBGP",
     "PlannedGroup",
@@ -353,6 +359,23 @@ class PlannedGroup(Pattern):
         self.filters: Tuple[_FilterInfo, ...] = tuple(filters)
 
 
+@dataclass(frozen=True)
+class DisjunctiveUnion(Pattern):
+    """A group's triples and its ``?c = ?x1 || … || ?c = ?xn`` filter, as a UNION.
+
+    Branch ``i`` holds the triples with ``?xi``'s own ones rewritten onto
+    ``?c`` (an indexed probe once ``?c`` is bound) and the other ``?xj``'s
+    dropped; ``guards`` keep those as existence checks, run once per
+    evaluation.  ``joined`` is the group as written, for solutions that
+    arrive with an ``?xi`` already bound (``init_bindings``).
+    """
+
+    branches: Tuple[PlannedBGP, ...]
+    guards: Tuple[PlannedBGP, ...]
+    eliminated: FrozenSet[Variable]
+    joined: Pattern
+
+
 def _triple_info(triple: TriplePattern, index: int) -> _TripleInfo:
     is_path = isinstance(triple.predicate, PathExpr)
     subject_var = triple.subject if isinstance(triple.subject, Variable) else None
@@ -459,17 +482,91 @@ class CompiledPlan:
         self.algebra = algebra
 
 
+def _equality_disjuncts(expression: Expression) -> Optional[List[Tuple[Variable, Variable]]]:
+    """The variable pairs of ``?a = ?b || ?c = ?d || …``; None for any other shape."""
+    if isinstance(expression, BinaryExpr) and expression.operator == "||":
+        left = _equality_disjuncts(expression.left)
+        right = _equality_disjuncts(expression.right)
+        return left + right if left is not None and right is not None else None
+    if (isinstance(expression, BinaryExpr) and expression.operator == "="
+            and isinstance(expression.left, VariableExpr)
+            and isinstance(expression.right, VariableExpr)):
+        return [(expression.left.variable, expression.right.variable)]
+    return None
+
+
+def _plan_disjunctive_union(query: Query) -> Optional[PlannedGroup]:
+    """Plan a WHERE group of triples and filters around a :class:`DisjunctiveUnion`.
+
+    Fires on a filter ``?c = ?x1 || … || ?c = ?xn`` only where that cannot
+    change the answer, and returns None otherwise:
+
+    * the query is ``SELECT DISTINCT`` without aggregates, or ``ASK``: the
+      branches change row multiplicities only;
+    * no ``?xi`` is projected, ordered on or used outside its own triples,
+      which mention no other variable, and ``?c`` is bound by the others;
+    * each ``?xi`` is the subject of one of its triples, so it never binds
+      a literal and ``=`` is term identity.
+    """
+    if isinstance(query, AskQuery):
+        outside: Set[Variable] = set()
+    elif isinstance(query, SelectQuery) and query.distinct and not (
+            query.select_all or query.group_by or query.having):
+        outside = {projection.variable for projection in query.projections}
+        for expression in [p.expression for p in query.projections if p.expression] + [
+                condition.expression for condition in query.order_by]:
+            if _contains_aggregate(expression):
+                return None
+            outside |= expression_variables(expression)
+    else:
+        return None
+    group = query.where
+    if not isinstance(group, GroupPattern) or not all(
+            isinstance(element, (BGP, FilterPattern)) for element in group.patterns):
+        return None
+    triples = [t for element in group.patterns if isinstance(element, BGP) for t in element.triples]
+    filters = [e.expression for e in group.patterns if isinstance(e, FilterPattern)]
+    for target in filters:
+        pairs = _equality_disjuncts(target) or []
+        anchors = set.intersection(*({a, b} for a, b in pairs)) if len(pairs) > 1 else set()
+        if len(anchors) != 1:
+            continue
+        anchor = anchors.pop()
+        xs = [b if a == anchor else a for a, b in pairs]
+        own = {x: [t for t in triples if x in t.variables()] for x in xs}
+        rest = [t for t in triples if not set(t.variables()) & set(xs)]
+        certain = frozenset(var for t in rest for var in t.variables())
+        used = outside.union(*(expression_variables(f) for f in filters if f is not target))
+        if (len(set(xs) | {anchor}) != len(xs) + 1 or used & set(xs) or anchor not in certain
+                or not all(any(t.subject == x for t in own[x]) and all(
+                    t.variables() == [x] and not isinstance(t.predicate, PathExpr)
+                    for t in own[x]) for x in xs)):
+            continue
+
+        def bgp(selected: Sequence[TriplePattern]) -> PlannedBGP:
+            return PlannedBGP([_triple_info(t, i) for i, t in enumerate(selected)])
+
+        def probe(t: TriplePattern, x: Variable) -> TriplePattern:
+            return replace(t, **{slot: anchor for slot in ("subject", "predicate", "object")
+                                 if getattr(t, slot) == x})
+
+        node = DisjunctiveUnion(
+            branches=tuple(bgp([probe(t, x) if t in own[x] else t
+                                for t in triples if t in rest or t in own[x]]) for x in xs),
+            guards=tuple(bgp(own[x]) for x in xs),
+            eliminated=frozenset(xs),
+            joined=_compile_pattern(GroupPattern([BGP(triples), FilterPattern(target)]))[0],
+        )
+        return PlannedGroup([(node, certain)],
+                            [_filter_info(f) for f in filters if f is not target])
+    return None
+
+
 def compile_plan(query: Query) -> CompiledPlan:
     """Rewrite ``query``'s WHERE tree into plan nodes (query object untouched)."""
-    if isinstance(query, SelectQuery):
-        where, _ = _compile_pattern(query.where)
+    if isinstance(query, (SelectQuery, AskQuery, ConstructQuery)):
+        where = _plan_disjunctive_union(query) or _compile_pattern(query.where)[0]
         planned: Query = replace(query, where=where)
-    elif isinstance(query, AskQuery):
-        where, _ = _compile_pattern(query.where)
-        planned = AskQuery(where=where)
-    elif isinstance(query, ConstructQuery):
-        where, _ = _compile_pattern(query.where)
-        planned = replace(query, where=where)
     else:
         planned = query
     _STATS.record_compile()
@@ -618,11 +715,6 @@ class PlanEvaluator(QueryEvaluator):
         # thousands of tiny BGP joins per query).
         self._pending_stats: Dict[str, int] = {}
         self._dictionary = graph.dictionary
-        # Compiled ID-space filter predicates, memoised per expression:
-        # OPTIONAL / UNION / MINUS re-enter their inner BGPs once per outer
-        # solution and would otherwise recompile the same predicate every
-        # time.
-        self._id_filter_cache: Dict[int, Any] = {}
 
     def evaluate(self, query, init_bindings=None):
         try:
@@ -648,7 +740,36 @@ class PlanEvaluator(QueryEvaluator):
                 pattern, solutions, self._bound_in_all(solutions), ()
             )
             return results
+        if isinstance(pattern, DisjunctiveUnion):
+            return self._evaluate_disjunctive_union(pattern, solutions)
         return super().evaluate_pattern(pattern, solutions)
+
+    def _evaluate_disjunctive_union(
+        self, node: DisjunctiveUnion, solutions: List[Solution]
+    ) -> List[Solution]:
+        if any(var in solution for solution in solutions for var in node.eliminated):
+            return self.evaluate_pattern(node.joined, solutions)
+        if not all(self._has_match(guard) for guard in node.guards):
+            return []
+        results: List[Solution] = []
+        for branch in node.branches:
+            results.extend(self.evaluate_pattern(branch, solutions))
+        return results
+
+    def _has_match(self, bgp: PlannedBGP) -> bool:
+        """Whether ``bgp`` matches at all; the search stops at the first match."""
+        order, _ = self._bgp_order(bgp, frozenset())
+
+        def extend(chain: Any, depth: int) -> bool:
+            if depth == len(order):
+                return True
+            matches, _, _ = self._join_triple_ids(order[depth], [chain])
+            return any(extend(match, depth + 1) for match in matches)
+
+        found = extend({}, 0)
+        self._bump("bgps_evaluated")
+        self._bump("actual_rows", int(found))
+        return found
 
     def _evaluate_optional(self, pattern: OptionalPattern, solutions: List[Solution]) -> List[Solution]:
         """OPTIONAL as one batched left join instead of a per-row loop.
@@ -973,134 +1094,17 @@ class PlanEvaluator(QueryEvaluator):
         return max(estimate, 1e-3)
 
     def _filter_chains_encoded(self, expression: Expression, chains: List[Any]) -> List[Any]:
-        """Apply one pushed-down filter to encoded chains.
-
-        Simple (in)equality constraints compile into ID-space predicates
-        (:meth:`_compile_id_filter`) — two integer compares per row instead
-        of a recursive expression walk over decoded terms.  Rows the
-        compiled form cannot decide (and whole filters that don't compile)
-        evaluate generically through a term-decoding view.
-        """
+        """Apply one pushed-down filter to encoded chains, through a term-decoding view."""
         terms = self._dictionary.terms
-        try:
-            predicate = self._id_filter_cache[id(expression)]
-        except KeyError:
-            predicate = self._compile_id_filter(expression)
-            self._id_filter_cache[id(expression)] = predicate
         kept: List[Any] = []
         for chain in chains:
-            if predicate is not None:
-                verdict = predicate(chain)
-                if verdict is True:
-                    kept.append(chain)
-                    continue
-                if verdict is False:
-                    continue
-            view = _DecodingView(chain, terms)
             try:
-                value = evaluate_expression(expression, view, self._exists)
+                value = evaluate_expression(expression, _DecodingView(chain, terms), self._exists)
                 if effective_boolean_value(value):
                     kept.append(chain)
             except ExpressionError:
                 continue
         return kept
-
-    def _compile_id_filter(self, expression: Expression):
-        """Compile ``expression`` into a tri-state ID-space predicate, if possible.
-
-        Handles ``=`` / ``!=`` between variables and IRI/BNode constants,
-        combined with ``||`` / ``&&``.  The returned callable maps a chain
-        to ``True`` / ``False`` when the verdict is decidable on IDs alone
-        — identical non-literal terms are equal, distinct non-literal
-        terms are unequal, mixed literal / non-literal comparisons are
-        unequal (matching ``_compare``) — and to ``None`` when the terms
-        are needed: a variable cell that is unbound or holds a term rather
-        than an ID, literal/literal comparison, identical literals whose
-        value space may disagree with term identity (e.g. NaN).  Returns
-        ``None`` when the expression shape doesn't compile.
-        """
-        dictionary = self._dictionary
-        kinds = dictionary.kinds
-
-        def compile_node(expr):
-            if not isinstance(expr, BinaryExpr):
-                return None
-            op = expr.operator
-            if op in ("||", "&&"):
-                left = compile_node(expr.left)
-                if left is None:
-                    return None
-                right = compile_node(expr.right)
-                if right is None:
-                    return None
-                if op == "||":
-                    def disjunction(chain, _l=left, _r=right):
-                        lv = _l(chain)
-                        if lv is True:
-                            return True
-                        rv = _r(chain)
-                        if rv is True:
-                            return True
-                        if lv is False and rv is False:
-                            return False
-                        return None
-                    return disjunction
-
-                def conjunction(chain, _l=left, _r=right):
-                    lv = _l(chain)
-                    if lv is False:
-                        return False
-                    rv = _r(chain)
-                    if rv is False:
-                        return False
-                    if lv is True and rv is True:
-                        return True
-                    return None
-                return conjunction
-            if op not in ("=", "!="):
-                return None
-            sides = []
-            for side in (expr.left, expr.right):
-                if isinstance(side, VariableExpr):
-                    sides.append((side.variable, None))
-                elif (isinstance(side, TermExpr)
-                      and isinstance(side.term, (IRI, BNode))):
-                    sides.append((None, dictionary.intern(side.term)))
-                else:
-                    return None
-            (left_var, left_const), (right_var, right_const) = sides
-            negate = op == "!="
-
-            def equality(chain, _lv=left_var, _lc=left_const, _rv=right_var,
-                         _rc=right_const, _neg=negate, _kinds=kinds):
-                # A cell that is not an ``int`` is unbound (the generic path
-                # raises, dropping the row) or a term: either way undecided.
-                if _lv is not None:
-                    a = chain.get(_lv)
-                    if type(a) is not int:
-                        return None
-                    a_literal = _kinds[a] == KIND_LITERAL
-                else:
-                    a = _lc
-                    a_literal = False
-                if _rv is not None:
-                    b = chain.get(_rv)
-                    if type(b) is not int:
-                        return None
-                    b_literal = _kinds[b] == KIND_LITERAL
-                else:
-                    b = _rc
-                    b_literal = False
-                if a == b:
-                    if a_literal:
-                        return None
-                    return not _neg
-                if a_literal and b_literal:
-                    return None
-                return _neg
-            return equality
-
-        return compile_node(expression)
 
     def _join_triple_ids(
         self, info: _TripleInfo, chains: List[Any]

@@ -54,9 +54,6 @@ class SystemContext:
     def with_season(self, season: str) -> "SystemContext":
         return replace(self, season=season)
 
-    def with_region(self, region: str) -> "SystemContext":
-        return replace(self, region=region)
-
     def summary(self) -> Dict[str, str]:
         out = {"season": self.season, "region": self.region, "system": self.system_name}
         if self.meal_time:

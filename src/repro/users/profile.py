@@ -8,7 +8,7 @@ plain data: the scenario builder is responsible for turning them into RDF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import RequestError
@@ -61,11 +61,6 @@ class UserProfile:
     def without_condition(self, condition: str) -> "UserProfile":
         """Return a copy with ``condition`` removed."""
         return replace(self, conditions=tuple(c for c in self.conditions if c != condition))
-
-    def with_goal(self, goal: str) -> "UserProfile":
-        if goal in self.goals:
-            return self
-        return replace(self, goals=self.goals + (goal,))
 
     def likes_food(self, name: str) -> bool:
         return name in self.likes

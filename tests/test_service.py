@@ -586,6 +586,21 @@ class TestExplanationService:
                              persona="paper")
         assert not repeat.scenario_cache_hit  # evicted by the second question
 
+    def test_scenario_cache_keeps_no_more_closures_than_the_closure_cache(self, engine):
+        # The scenario cache may not keep closures alive after the closure
+        # cache evicted them: both are bounded by the closure budget.
+        builder = ScenarioBuilder(engine.catalog, base_graph=engine.builder._base,
+                                  closure_cache=MaterializationCache(max_size=2))
+        service = ExplanationService(engine=ExplanationEngine(builder=builder),
+                                     max_cached_scenarios=8)
+        question = "Why should I eat Cauliflower Potato Curry?"
+        for key in ("paper", "pregnant_user", "diabetic_user"):
+            service.ask(question, persona=key)
+        assert len({id(s.inferred) for s in service._scenarios.values()}) == 2
+        assert service.ask(question, persona="diabetic_user").scenario_cache_hit
+        assert service.ask(question, persona="pregnant_user").scenario_cache_hit
+        assert not service.ask(question, persona="paper").scenario_cache_hit
+
     def test_stats_on_idle_service_does_not_build_the_engine(self):
         service = ExplanationService()  # no engine injected
         stats = service.stats()

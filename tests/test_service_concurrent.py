@@ -363,6 +363,25 @@ def _request(url, path, payload=None):
         return error.code, json.loads(error.read())
 
 
+class _SendCounter:
+    """A handler connection that records the size of every send on it."""
+
+    def __init__(self, connection, sends):
+        self._connection = connection
+        self._sends = sends
+
+    def send(self, data, *args):
+        self._sends.append(len(data))
+        return self._connection.send(data, *args)
+
+    def sendall(self, data, *args):
+        self._sends.append(len(data))
+        return self._connection.sendall(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
 class TestHTTPServer:
     @pytest.fixture()
     def server(self, engine):
@@ -371,6 +390,93 @@ class TestHTTPServer:
         server = ExplanationServer(sharded, port=0).start()
         yield server
         server.stop()
+
+    @pytest.fixture()
+    def sends(self, server):
+        """Every socket send the server makes, recorded from here on."""
+        recorded = []
+        handler = server._httpd.RequestHandlerClass
+
+        def setup(self):
+            self.request = _SendCounter(self.request, recorded)
+            handler.setup(self)
+
+        server._httpd.RequestHandlerClass = type(
+            "CountingHandler", (handler,), {"setup": setup})
+        return recorded
+
+    def test_each_response_is_one_socket_write(self, server, sends):
+        """Headers and body leave in one send, so Nagle cannot hold the body back."""
+        sharded = server.service
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=60)
+
+        def exchange(method, path, body=None):
+            before = len(sends)
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            return response, payload, len(sends) - before
+
+        ask = json.dumps({"question": QUESTION, "persona": "paper"})
+        response, payload, count = exchange("POST", "/ask", ask)
+        assert (response.status, count) == (200, 1) and payload["text"]
+        response, payload, count = exchange("POST", "/ask", "{not json")
+        assert (response.status, payload["error"], count) == (400, "bad_request", 1)
+        response, payload, count = exchange("GET", "/nope")
+        assert (response.status, count) == (404, 1)
+
+        release, worker_future, filler_future = _fill_shard(sharded.shards[0])
+        try:
+            response, payload, count = exchange("POST", "/ask", ask)
+        finally:
+            release.set()
+            worker_future.result(timeout=30)
+            filler_future.result(timeout=30)
+        assert (response.status, payload["error"], count) == (503, "backpressure", 1)
+        assert response.getheader("Retry-After") == "1"
+
+        response, payload, count = exchange("GET", "/stats")
+        assert (response.status, count) == (200, 1)
+        # The same keep-alive connection still carries whole responses.
+        response, payload, count = exchange("POST", "/ask", ask)
+        assert (response.status, count) == (200, 1) and payload["text"]
+        connection.close()
+        assert server.internal_errors == 0
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        (b"PUT /ask HTTP/1.1\r\nHost: localhost\r\nContent-Length: 0\r\n\r\n", 501),
+        (b"GET /" + b"a" * 65532, 414),
+        (b"GET / extra HTTP/1.1\r\n", 400),
+        (b"POST /ask HTTP/1.1\r\nHost: localhost\r\nContent-Length: -1\r\n\r\n", 400),
+    ], ids=["unsupported-method", "request-line-too-long", "malformed-request-line",
+            "negative-content-length"])
+    def test_error_response_arrives_whole_before_close(self, server, sends,
+                                                       request_bytes, status):
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(request_bytes)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            body = response.read()
+            closed = sock.recv(1) == b""
+        assert response.status == status
+        assert body and len(body) == int(response.getheader("Content-Length"))
+        assert closed
+        assert len(sends) == 1
+        assert server.internal_errors == 0
+
+    def test_interim_100_continue_is_sent_before_the_body(self, server):
+        body = json.dumps({"question": QUESTION, "persona": "paper"}).encode()
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(b"POST /ask HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Expect: 100-continue\r\n"
+                         b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n")
+            interim = sock.recv(4096)
+            assert interim.startswith(b"HTTP/1.1 100 ")
+            sock.sendall(body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+        assert response.status == 200 and payload["text"]
 
     def test_ask_sessions_update_and_stats_roundtrip(self, server):
         status, body = _request(server.url, "/healthz")

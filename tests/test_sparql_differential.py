@@ -15,6 +15,12 @@ the places where one solution mixes dictionary-ID and term cells: a BGP
 after an OPTIONAL, path endpoints bound by a triple, VALUES or
 ``init_bindings``, zero-length paths from nodes absent from the graph,
 and ``=`` / ``!=`` between a VALUES-bound and a join-bound variable.
+
+A second generator covers the disjunctive-equality rewrite (Listing 1's
+``FILTER(?c = ?x1 || … || ?c = ?xn)``): the shapes where it fires, where
+one side's class is empty, and where it must not fire because the query
+keeps multiplicities, projects an ``?xi`` or lets an ``?xi`` bind a
+literal.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ import pytest
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal
-from repro.sparql import prepare
+from repro.rdf.terms import XSD_INTEGER
+from repro.sparql import planner_stats, prepare, reset_planner_stats
+from repro.sparql.planner import DisjunctiveUnion
 
 EX = "http://example.org/"
 RDF_TYPE = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
@@ -338,3 +346,126 @@ def test_competency_listings_match_naive(listing, cq1_scenario, cq2_scenario, cq
     naive = _multiset(prepared.evaluate_naive(scenario.inferred, bindings))
     assert planned == naive
     assert planned  # the listings must keep answering on the paper scenario
+
+
+# ---------------------------------------------------------------------------
+# Disjunctive equality: FILTER(?c = ?x1 || … || ?c = ?xn)
+# ---------------------------------------------------------------------------
+N_DISJUNCTIVE_CASES = 150
+
+DISJUNCTIVE_VARIANTS = ["fires", "ask", "empty", "bound", "bag", "projected", "literal"]
+
+
+def _rewritten(prepared) -> bool:
+    """Whether the compiled plan holds the disjunctive rewrite."""
+    elements = getattr(prepared.plan.algebra.where, "elements", ())
+    return any(isinstance(node, DisjunctiveUnion) for node, _ in elements)
+
+
+def _disjunctive_case(rng, graph, subjects, predicates, classes, variant):
+    """(query text, init bindings, whether the rewrite must fire)."""
+    anchor = "?a" if rng.random() < 0.7 else "?b"
+    xs = [f"?x{i}" for i in range(rng.choice([2, 3]))]
+    sides = [f"{anchor} = {x}" if rng.random() < 0.5 else f"{x} = {anchor}" for x in xs]
+    lines = [f"  ?a ex:{rng.choice(predicates).local_name()} ?b ."]
+    if rng.random() < 0.3:
+        lines.append("  ?a a ?t .")
+    facts = [(p, o) for _, p, o in graph if isinstance(o, IRI) and p.startswith(EX)]
+    if variant == "literal":
+        # ?x0 is only an object: it can bind "01", which equals "1" by value.
+        lines += ["  ?b ex:v ?k .", "  ex:e1 ex:w ?x0 ."] + [f"  {x} a ex:C0 ." for x in xs[1:]]
+        sides = [f"?k = {x}" for x in xs]
+    bindings = None
+    for i, x in enumerate(xs if variant != "literal" else ()):
+        cls = "Empty" if variant == "empty" and i == 0 else rng.choice(classes).local_name()
+        if variant == "bound" and i == 0:
+            # ?x0 arrives bound, to an instance of its class.
+            value, typed = rng.choice([(s, o) for s, p, o in graph if str(p) == RDF_TYPE[1:-1]])
+            bindings, cls = {"x0": value}, typed.local_name()
+        lines.append(f"  {x} a ex:{cls} .")
+        if rng.random() < 0.3 and bindings is None:
+            predicate, obj = rng.choice(facts)
+            lines.append(f"  {x} ex:{predicate.local_name()} ex:{obj.local_name()} .")
+    if rng.random() < 0.5:
+        lines.append(rng.choice(["  FILTER ( ?a != ex:e0 ) .",
+                                 "  FILTER NOT EXISTS { ?a ex:p1 ?z } ."]))
+    rng.shuffle(lines)
+    lines.insert(rng.randint(0, len(lines)), "  FILTER ( " + " || ".join(sides) + " ) .")
+    body = "\n".join(lines)
+    head = {
+        "ask": "ASK",
+        "bag": "SELECT ?a ?b",
+        "projected": "SELECT DISTINCT ?a ?x0",
+        "literal": "SELECT DISTINCT ?k",
+    }.get(variant, rng.choice(["SELECT DISTINCT ?a ?b", "SELECT DISTINCT ?a"]))
+    where = "" if variant == "ask" else "WHERE "
+    fires = variant in ("fires", "ask", "empty", "bound")
+    return f"{head} {where}{{\n{body}\n}}", bindings, fires
+
+
+@pytest.mark.parametrize("case", range(N_DISJUNCTIVE_CASES))
+def test_disjunctive_equality_rewrite_matches_naive(case):
+    rng = random.Random(23000 + case)
+    graph, subjects, predicates, classes = build_graph(rng)
+    graph.add((IRI(EX + "e0"), IRI(EX + "v"), Literal("1", datatype=XSD_INTEGER)))
+    graph.add((IRI(EX + "e1"), IRI(EX + "w"), Literal("01", datatype=XSD_INTEGER)))
+    graph.add((IRI(EX + "e2"), IRI(RDF_TYPE.strip("<>")), IRI(EX + "C0")))
+    variant = DISJUNCTIVE_VARIANTS[case % len(DISJUNCTIVE_VARIANTS)]
+    query_text, bindings, fires = _disjunctive_case(
+        rng, graph, subjects, predicates, classes, variant)
+    query_text = f"PREFIX ex: <{EX}>\n{query_text}"
+
+    prepared = prepare(query_text, graph.namespace_manager)
+    planned = prepared.evaluate(graph, bindings)
+    naive = prepared.evaluate_naive(graph, bindings)
+
+    assert _rewritten(prepared) == fires, query_text
+    if variant == "ask":
+        assert bool(planned) == bool(naive), query_text
+    else:
+        assert _multiset(planned) == _multiset(naive), query_text
+    if variant == "empty":
+        assert not list(planned) and not list(naive), query_text
+
+
+def test_disjunctive_rewrite_keeps_an_equal_valued_literal():
+    """An object-only ?x can bind "01", equal by value to "1": no rewrite."""
+    graph = Graph()
+    graph.add((IRI(EX + "e0"), IRI(EX + "v"), Literal("1", datatype=XSD_INTEGER)))
+    graph.add((IRI(EX + "e1"), IRI(EX + "w"), Literal("01", datatype=XSD_INTEGER)))
+    graph.add((IRI(EX + "e2"), IRI(RDF_TYPE.strip("<>")), IRI(EX + "C0")))
+    prepared = prepare(
+        f"PREFIX ex: <{EX}>\nSELECT DISTINCT ?k WHERE {{\n  ex:e0 ex:v ?k .\n"
+        "  ex:e1 ex:w ?x .\n  ?y a ex:C0 .\n  FILTER ( ?k = ?x || ?k = ?y ) .\n}")
+    assert not _rewritten(prepared)
+    assert _multiset(prepared.evaluate(graph)) == _multiset(prepared.evaluate_naive(graph))
+    assert len(prepared.evaluate(graph)) == 1
+
+
+def test_listing1_rewrite_cuts_intermediate_rows(cq1_scenario):
+    """Listing 1 joins ≥10× fewer rows, and still answers the golden rows."""
+    import json
+
+    from golden.regen import GOLDEN_PATH
+
+    from repro.core.queries import contextual_template
+
+    graph = cq1_scenario.inferred
+    bindings = {"question": cq1_scenario.question_iri}
+    listing = prepare(contextual_template(), graph.namespace_manager)
+    # Without DISTINCT the rewrite may not fire: this is the written join.
+    written = prepare(contextual_template().replace("SELECT DISTINCT", "SELECT"),
+                      graph.namespace_manager)
+    assert _rewritten(listing) and not _rewritten(written)
+
+    def actual_rows(prepared):
+        reset_planner_stats()
+        result = prepared.evaluate(graph, bindings)
+        return result, planner_stats()["actual_rows"]
+
+    result, rewritten_rows = actual_rows(listing)
+    _, written_rows = actual_rows(written)
+    assert written_rows >= 10 * rewritten_rows > 0
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    rows = sorted([term.n3() for term in row] for row in result)
+    assert rows == golden["listings"]["listing1_contextual"]["rows"]
