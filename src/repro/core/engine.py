@@ -73,9 +73,10 @@ class ExplanationEngine:
     ) -> None:
         if builder is not None:
             # An injected builder wins: a sharded service hands every shard
-            # its own builder (own materialisation cache, own axiom index)
-            # over one shared base graph, so shards never contend on a
-            # single closure cache.  The builder's catalog is authoritative.
+            # its own builder (own materialisation cache) over one shared
+            # base graph, axiom index and base closure, so shards never
+            # contend on a single closure cache.  The builder's catalog is
+            # authoritative.
             self.catalog = builder.catalog
             self.builder = builder
         else:

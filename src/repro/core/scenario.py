@@ -7,9 +7,16 @@ the inferred graph.  :class:`ScenarioBuilder` performs that assembly.
 
 The ontology and the food knowledge graph are loaded once and shared
 between scenarios; each :meth:`ScenarioBuilder.build` call copies them and
-adds the scenario-specific individuals before reasoning.
+adds the scenario-specific individuals.  The shared base is also *reasoned*
+once: the builder's :class:`~repro.owl.closure.BaseClosure` closes it on
+the first closure miss and freezes the result, and every scenario closure
+is a COW copy of that closure grown with the scenario's ~20 asserted
+triples by :meth:`~repro.owl.reasoner.Reasoner.extend`, not a full
+reasoning pass over the ontology + knowledge graph again.  Builders made
+by :meth:`ScenarioBuilder.fork` (one per shard) share the base graph, its
+axiom index and its closure.
 
-Reasoning itself goes through a per-builder
+Closures go through a per-builder
 :class:`~repro.owl.closure.MaterializationCache`: an identical request
 (same user, context, question and recommendation) assembles a
 triple-identical graph, whose fingerprint hits the cache and skips the
@@ -26,6 +33,7 @@ path instead of re-materialising the whole graph.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -33,7 +41,7 @@ from ..errors import UnknownEntityError
 from ..foodkg.loader import FoodKGLoader
 from ..foodkg.schema import FoodCatalog, slugify
 from ..ontology import eo, feo, food
-from ..owl import AxiomIndex, MaterializationCache, Reasoner
+from ..owl import BaseClosure, MaterializationCache, Reasoner
 from ..rdf.graph import Graph, Triple
 from ..rdf.namespace import FEO, FOODKG, RDFS
 from ..rdf.terms import IRI, Literal
@@ -110,18 +118,20 @@ class ScenarioBuilder:
             self._base = feo.build_combined_ontology()
             self.loader.graph = self._base
             self.loader.load(catalog)
-        # Scenario individuals never add schema triples, so one AxiomIndex
-        # extracted from the shared base serves every scenario graph —
-        # reasoner construction skips the per-build axiom extraction.
-        self._axioms = AxiomIndex.from_graph(self._base)
+        # Freezes the base and extracts its axiom index once; the base
+        # closure itself is reasoned on the first closure miss.
+        self._base_closure = BaseClosure(self._base)
         if closure_cache is not None:
             self.closure_cache: Optional[MaterializationCache] = closure_cache
         else:
             self.closure_cache = MaterializationCache() if use_closure_cache else None
 
-    def _reasoner(self, graph: Graph) -> Reasoner:
-        """A reasoner over ``graph`` sharing the base graph's axiom index."""
-        return Reasoner(graph, axioms=self._axioms)
+    def fork(self, closure_cache: MaterializationCache) -> "ScenarioBuilder":
+        """A builder over this one's base graph, axiom index and base
+        closure, with its own closure cache (one per shard)."""
+        twin = copy.copy(self)
+        twin.closure_cache = closure_cache
+        return twin
 
     def store_stats(self) -> Dict[str, int]:
         """Storage-engine counters for the shared base graph family.
@@ -184,12 +194,12 @@ class ScenarioBuilder:
                 # cache hits share a fully-annotated, read-only graph.
                 inferred = self.closure_cache.materialize(
                     graph,
-                    reasoner_factory=self._reasoner,
+                    reasoner_factory=self._base_closure.reasoner,
                     post_process=lambda closure: annotate_facts_and_foils(
                         closure, ecosystem_iri),
                 )
             else:
-                inferred = self._reasoner(graph).run()
+                inferred = self._base_closure.reasoner(graph).run()
                 annotate_facts_and_foils(inferred, ecosystem_iri)
         else:
             inferred = graph
@@ -303,14 +313,15 @@ class ScenarioBuilder:
         if self.closure_cache is not None:
             inferred = self.closure_cache.extend(
                 graph, base_fingerprint, added,
-                reasoner_factory=self._reasoner,
+                reasoner_factory=self._base_closure.reasoner,
                 post_process=lambda closure: annotate_facts_and_foils(
                     closure, ecosystem_iri),
             )
         else:
             # Without a cache there is no record of which closure triples are
-            # closed-world annotations, so rebuild from scratch.
-            inferred = self._reasoner(graph).run()
+            # closed-world annotations, so close the grown graph afresh (from
+            # the base closure, like any miss).
+            inferred = self._base_closure.reasoner(graph).run()
             annotate_facts_and_foils(inferred, ecosystem_iri)
 
         return Scenario(

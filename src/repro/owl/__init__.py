@@ -9,7 +9,7 @@ query).
 """
 
 from .axioms import AxiomIndex, EquivalenceAxiom, SubClassAxiom
-from .closure import MaterializationCache
+from .closure import BaseClosure, MaterializationCache
 from .expressions import (
     AllValuesFrom,
     ClassExpression,
@@ -30,6 +30,7 @@ from . import vocabulary
 __all__ = [
     "AllValuesFrom",
     "AxiomIndex",
+    "BaseClosure",
     "ClassExpression",
     "ClassHierarchy",
     "ComplementOf",

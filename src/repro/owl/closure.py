@@ -1,17 +1,31 @@
-"""Cached OWL materialisation keyed by graph fingerprint.
+"""Cached OWL materialisation keyed by graph fingerprint, grown from one base closure.
 
-Running the :class:`~repro.owl.reasoner.Reasoner` is by far the most
-expensive stage of the explanation pipeline — it iterates rule application
-over the whole ontology + knowledge graph + scenario individuals until a
-fixed point.  An interactive service, however, sees the *same* scenario
-graph over and over: the same user asking the same (or a re-asked)
-question assembles a triple-identical graph, so its deductive closure is
-also identical.
+Running the :class:`~repro.owl.reasoner.Reasoner` over a whole scenario
+graph is by far the most expensive stage of the explanation pipeline — it
+iterates rule application over the ontology + knowledge graph + scenario
+individuals until a fixed point.  Two facts make that avoidable:
 
-:class:`MaterializationCache` exploits that: it keys the materialised
-closure by :meth:`repro.rdf.graph.Graph.fingerprint` — an O(1),
-incrementally-maintained content hash — so a repeated scenario build skips
-reasoning entirely, and *any* mutation of the input graph changes the
+* every scenario graph is the same **shared base** (FEO ontology + food
+  KG) plus a few dozen asserted triples (user, system, ecosystem,
+  question), and the axioms are monotone, so the closure of a scenario is
+  the base's closure extended with the scenario's delta;
+* an interactive service sees the *same* scenario graph over and over:
+  the same user asking the same (or a re-asked) question assembles a
+  triple-identical graph, so its deductive closure is also identical.
+
+:class:`BaseClosure` exploits the first: it reasons the base graph once —
+lazily, single-flight, consistency-checked — and freezes the result.  Its
+:meth:`~BaseClosure.reasoner` hands out reasoners whose ``run()`` is a COW
+:meth:`~repro.rdf.graph.Graph.copy` of that frozen closure grown by
+:meth:`repro.owl.reasoner.Reasoner.extend` with the graph's asserted
+triples beyond the base.  A full :meth:`Reasoner.run` happens only for the
+base itself, or when the axioms are not monotone, or when the graph is not
+the base plus data triples in the base's dictionary.
+
+:class:`MaterializationCache` exploits the second: it keys the
+materialised closure by :meth:`repro.rdf.graph.Graph.fingerprint` — an
+O(1), incrementally-maintained content hash — so a repeated scenario build
+skips reasoning entirely, and *any* mutation of the input graph changes the
 fingerprint and naturally invalidates the entry.
 
 Beyond exact repeats, the cache has an **incremental path**
@@ -23,7 +37,11 @@ added triples, instead of re-materialising from scratch.  Each entry
 remembers which triples its ``post_process`` pass appended so the
 extension starts from the *pure* deductive closure (the closed-world
 fact/foil annotations are stripped, the delta is reasoned in, and the
-post-pass is re-run on the result).
+post-pass is re-run on the result).  When the base entry has been evicted,
+``extend`` falls back to a miss; a miss through a
+:meth:`BaseClosure.reasoner` factory is itself an extension, of the base
+closure, so cached closures and misses alike are COW children of one
+frozen graph and share its index leaf sets.
 
 Published graphs are frozen (:meth:`repro.rdf.graph.Graph.freeze`): the
 cached closure is shared between hits, and it and the asserted graph it
@@ -47,14 +65,93 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..rdf.graph import Graph, Triple
+from .axioms import AxiomIndex
 from .reasoner import Reasoner
 
-__all__ = ["MaterializationCache"]
+__all__ = ["BaseClosure", "MaterializationCache"]
 
 Fingerprint = Tuple[int, int]
+
+
+class BaseClosure:
+    """The frozen closure of one shared base graph, and the reasoners that
+    grow every superset's closure from it.
+
+    Construction freezes ``base`` (a later write would leave the closure
+    stale) and extracts its :class:`~repro.owl.axioms.AxiomIndex` once;
+    scenario individuals never add schema triples, so that index serves
+    every scenario graph.  The closure itself is reasoned on the first
+    :meth:`closure` call only — a builder that never misses never pays for
+    it — and every builder over the same base (a fleet's shards included)
+    shares one instance.
+    """
+
+    def __init__(self, base: Graph) -> None:
+        self.base = base.freeze()
+        self.axioms = AxiomIndex.from_graph(base)
+        self._lock = threading.Lock()
+        self._closure: Optional[Graph] = None
+
+    def closure(self) -> Graph:
+        """The base's frozen deductive closure, reasoned (and checked for
+        consistency) by the first caller while concurrent callers wait."""
+        closure = self._closure
+        if closure is None:
+            with self._lock:
+                closure = self._closure
+                if closure is None:
+                    closure = Reasoner(self.base, axioms=self.axioms).run().freeze()
+                    self._closure = closure
+        return closure
+
+    def delta(self, graph: Graph) -> Optional[List[Triple]]:
+        """``graph``'s triples beyond the base, or ``None`` when ``graph``
+        is not a same-dictionary superset of it."""
+        base = self.base
+        if graph.dictionary is not base.dictionary:
+            return None
+        extra = graph._triples - base._triples
+        if len(graph) - len(extra) != len(base):
+            return None
+        return [graph.decode_triple(triple) for triple in extra]
+
+    def reasoner(self, graph: Graph) -> Reasoner:
+        """A reasoner over ``graph`` with the base's axiom index, whose
+        ``run()`` extends the base closure instead of re-closing the base."""
+        return _BaseExtendingReasoner(graph, self)
+
+
+class _BaseExtendingReasoner(Reasoner):
+    """``run()`` as a COW copy of the base closure plus :meth:`extend`.
+
+    The result is the closure :meth:`Reasoner.run` would return, consistency
+    check included: the base's check ran once when its closure was built,
+    and a new disjointness violation needs a type the delta adds, which
+    :meth:`extend` checks.  Falls back to :meth:`Reasoner.run` when the
+    axioms are not monotone, and — with the graph's own axiom index, which
+    the base's need not describe — when the graph is not the base plus
+    data triples.
+    """
+
+    def __init__(self, graph: Graph, base: BaseClosure) -> None:
+        super().__init__(graph, axioms=base.axioms)
+        self._base = base
+
+    def run(self) -> Graph:
+        delta = self._base.delta(self.base_graph)
+        if delta is None or any(self._is_schema_triple(triple) for triple in delta):
+            self.axioms = AxiomIndex.from_graph(self.base_graph)
+            self._prepare_axiom_state()
+            return super().run()
+        if not self.supports_incremental_extension:
+            return super().run()
+        closure = self._base.closure().copy()
+        closure.identifier = self.base_graph.identifier
+        closure.namespace_manager = self.base_graph.namespace_manager.copy()
+        return self.extend(closure, delta)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ owning
   :class:`~repro.owl.MaterializationCache` (closure cache), over **one
   shared, read-only base graph** — every shard's scenario graphs are COW
   :meth:`~repro.rdf.graph.Graph.copy` children of the same dictionary-
-  encoded family, so the ontology + knowledge graph is stored once;
+  encoded family, so the ontology + knowledge graph is stored once — and
+  one shared :class:`~repro.owl.BaseClosure`: the base is reasoned once
+  per fleet, and every shard's closure misses extend that closure;
 * its own scenario cache, :class:`~repro.users.sessions.SessionRegistry`
   and statistics counters;
 * an **admission gate** — the work runs on the calling thread, at most
@@ -488,16 +490,18 @@ class ShardedExplanationService:
             # (the curated core catalog unless ``catalog=`` says
             # otherwise).
             loaded = snapshot if isinstance(snapshot, GraphSnapshot) else load_snapshot(snapshot)
-            shared_catalog = catalog if catalog is not None else build_core_catalog()
             self._base_engine = ExplanationEngine(builder=ScenarioBuilder(
-                shared_catalog, base_graph=loaded.graph))
+                catalog if catalog is not None else build_core_catalog(),
+                base_graph=loaded.graph))
         else:
             # One base engine supplies the shared, read-only ontology + KG
             # graph (and its term dictionary); every shard's builder
             # copies it COW.
             self._base_engine = engine if engine is not None else ExplanationEngine(catalog=catalog)
-            shared_catalog = self._base_engine.catalog
-        base_graph = self._base_engine.builder._base
+        # Every shard's builder is a fork of the base engine's: one axiom
+        # index and one base closure (reasoned on the fleet's first closure
+        # miss) serve every shard.
+        base_builder = self._base_engine.builder
         self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
         self.retry_attempts = retry_attempts
@@ -509,11 +513,7 @@ class ShardedExplanationService:
         self._draining = False
         self._shards: List[ServiceShard] = []
         for index in range(num_shards):
-            builder = ScenarioBuilder(
-                shared_catalog,
-                base_graph=base_graph,
-                closure_cache=MaterializationCache(max_size=closure_cache_size),
-            )
+            builder = base_builder.fork(MaterializationCache(max_size=closure_cache_size))
             shard_engine = ExplanationEngine(builder=builder)
             service = ExplanationService(
                 engine=shard_engine,

@@ -9,6 +9,13 @@ catalogs (seeded, via :mod:`repro.foodkg.generator`) and across hundreds of
 randomized deltas — data facts, scenario-style profile updates, and
 schema-bearing deltas that force the full-reclosure fallback.
 
+The scenario pipeline's closure miss is itself an extension: a COW copy of
+the shared base closure (ontology + food KG, reasoned once) grown with the
+scenario's asserted delta.  The last part of this suite checks that path
+against ``run()`` and ``run_naive()`` for every persona × the paper's three
+competency questions and for randomized recipes, what-if conditions and
+profile deltas, and pins its fallbacks and its consistency check.
+
 Together the parametrized cases exceed the 200-randomized-case acceptance
 floor; every case asserts exact set equality, so any divergence reports the
 offending triples.
@@ -17,15 +24,28 @@ offending triples.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from golden.regen import GOLDEN_PATH, collect
+from test_generator_determinism import PAPER_QUESTIONS
+from repro.core.engine import ExplanationEngine
+from repro.core.facts_foils import annotate_facts_and_foils
+from repro.core.questions import (
+    ContrastiveQuestion,
+    WhatIfConditionQuestion,
+    WhatIfIngredientQuestion,
+    WhyQuestion,
+    parse_question,
+)
+from repro.core.scenario import ScenarioBuilder
 from repro.foodkg.generator import generate_catalog
 from repro.foodkg.loader import load_catalog
 from repro.foodkg.schema import FoodCatalog
 from repro.ontology import feo
 from repro.ontology.feo import build_combined_ontology
-from repro.owl import AxiomIndex, Reasoner
+from repro.owl import AxiomIndex, InconsistentOntologyError, Reasoner
 from repro.owl.vocabulary import (
     OWL_TRANSITIVE_PROPERTY,
     RDF_TYPE,
@@ -33,8 +53,11 @@ from repro.owl.vocabulary import (
     RDFS_SUBPROPERTYOF,
 )
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import FOOD
+from repro.rdf.namespace import FEO, FOOD
 from repro.rdf.terms import IRI
+from repro.recommender.health_coach import HealthCoach
+from repro.service import ExplanationService
+from repro.users.personas import PERSONAS, persona
 
 FOOD_RECIPE = IRI(FOOD["Recipe"])
 FOOD_INGREDIENT = IRI(FOOD["Ingredient"])
@@ -277,3 +300,196 @@ def test_closure_cache_falls_back_to_full_run_for_closed_world_axioms():
                  IRI("http://example.org/DogLover"))
     assert dog_lover not in result  # the stale classification is gone
     assert cache.stats()["extensions"] == 0  # it never took the unsound path
+
+
+# ---------------------------------------------------------------------------
+# Scenario closures grown from the shared base closure
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def full_runs(monkeypatch):
+    """Every ``Reasoner.run`` call (the full semi-naive pass) is recorded."""
+    runs = []
+    full_run = Reasoner.run
+
+    def counting_run(reasoner):
+        runs.append(reasoner)
+        return full_run(reasoner)
+
+    monkeypatch.setattr(Reasoner, "run", counting_run)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def scenario_builder(catalog):
+    builder = ScenarioBuilder(catalog, use_closure_cache=False)
+    builder._base_closure.closure()
+    return builder
+
+
+def _check_scenario(builder, full_runs, question, user, context, recommendation=None):
+    """The miss path's closure equals ``run()`` and ``run_naive()`` exactly,
+    and it never ran the full reasoner."""
+    asserted = builder.build(question, user, context, recommendation,
+                             run_reasoner=False).asserted
+    extended = builder._base_closure.reasoner(asserted).run()
+    assert not full_runs
+    label = f"{user.identifier}: {question.text}"
+    assert_same_closure(Reasoner(asserted).run(), extended, label + " vs run()")
+    assert_same_closure(Reasoner(asserted).run_naive(), extended, label + " vs run_naive()")
+
+
+@pytest.mark.parametrize("text", PAPER_QUESTIONS)
+@pytest.mark.parametrize("persona_key", PERSONAS)
+def test_base_extension_equals_run_and_naive_for_paper_cqs(
+        scenario_builder, full_runs, persona_key, text):
+    user, context = persona(persona_key)
+    _check_scenario(scenario_builder, full_runs, parse_question(text), user, context)
+
+
+def _random_question(rng: random.Random, catalog):
+    recipes = sorted(catalog.recipes)
+    shape = rng.randrange(4)
+    if shape == 0:
+        recipe = rng.choice(recipes)
+        return WhyQuestion(text=f"Why should I eat {recipe}?", recipe=recipe)
+    if shape == 1:
+        primary, secondary = rng.sample(recipes, 2)
+        return ContrastiveQuestion(
+            text=f"Why should I eat {primary} over {secondary}?",
+            primary=primary, secondary=secondary)
+    if shape == 2:
+        condition = rng.choice(sorted(feo.HEALTH_CONDITIONS))
+        return WhatIfConditionQuestion(text=f"What if I had {condition}?",
+                                       condition=condition)
+    ingredient = rng.choice(sorted(catalog.ingredients))
+    recipe = rng.choice(recipes)
+    return WhatIfIngredientQuestion(
+        text=f"What if {recipe} had no {ingredient}?",
+        ingredient=ingredient, recipe=recipe)
+
+
+def _random_profile_delta(rng: random.Random, user, catalog):
+    """The persona grown by a few random likes, dislikes, allergies, diets,
+    conditions and goals."""
+    foods = sorted(catalog.recipes) + sorted(catalog.ingredients)
+    diets = sorted(catalog.diets)
+    grown = dict(
+        likes=rng.sample(foods, rng.randint(0, 2)),
+        dislikes=rng.sample(foods, rng.randint(0, 2)),
+        allergies=rng.sample(foods, rng.randint(0, 1)),
+        diets=rng.sample(diets, rng.randint(0, 1)),
+        conditions=rng.sample(sorted(feo.HEALTH_CONDITIONS), rng.randint(0, 2)),
+        goals=rng.sample(sorted(feo.NUTRITIONAL_GOALS), rng.randint(0, 2)),
+    )
+    return replace(user, **{
+        field: getattr(user, field) + tuple(v for v in values if v not in getattr(user, field))
+        for field, values in grown.items()})
+
+
+@pytest.mark.parametrize("case", range(18))
+def test_base_extension_equals_run_and_naive_on_random_scenarios(
+        scenario_builder, full_runs, case):
+    rng = random.Random(9000 + case)
+    catalog = scenario_builder.catalog
+    user, context = persona(rng.choice(PERSONAS))
+    user = _random_profile_delta(rng, user, catalog)
+    recommendation = None
+    if rng.random() < 0.5:
+        recommendation = HealthCoach(catalog).recommend_one(user, context)
+    _check_scenario(scenario_builder, full_runs, _random_question(rng, catalog),
+                    user, context, recommendation)
+
+
+def test_builder_miss_publishes_the_annotated_full_closure(catalog, full_runs):
+    """Through the cache, a miss publishes exactly what a full run plus the
+    fact/foil post-pass gives, and no miss runs the full reasoner."""
+    builder = ScenarioBuilder(catalog)
+    user, context = persona("paper")
+    for text in PAPER_QUESTIONS:
+        scenario = builder.build(parse_question(text), user, context)
+        expected = Reasoner(scenario.asserted).run()
+        annotate_facts_and_foils(expected, scenario.ecosystem_iri)
+        assert_same_closure(expected, scenario.inferred, text)
+    assert len(full_runs) == 1 + len(PAPER_QUESTIONS)  # the base, then one oracle per CQ
+    assert full_runs[0].base_graph is builder._base
+    assert builder.closure_cache.stats()["misses"] == len(PAPER_QUESTIONS)
+
+
+def _base_with(catalog, turtle: str):
+    graph = build_combined_ontology()
+    load_catalog(catalog, graph)
+    graph.parse(turtle)
+    return graph
+
+
+_PREFIXES = (
+    "@prefix ex: <http://example.org/> .\n"
+    "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+    "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+    "@prefix feo: <%s> .\n" % FEO
+)
+
+
+def test_inconsistent_scenario_delta_still_raises_on_the_miss_path(catalog, full_runs):
+    """The base is checked once; a delta whose *inferred* types clash with a
+    disjointness axiom is caught by the extension's scoped check."""
+    builder = ScenarioBuilder(catalog, base_graph=_base_with(catalog, _PREFIXES + (
+        "ex:Carnivore owl:disjointWith ex:Vegan .\n"
+        "ex:StrictVegan rdfs:subClassOf ex:Vegan .\n")))
+    user, context = persona("paper")
+    scenario = builder.build(parse_question(PAPER_QUESTIONS[0]), user, context)
+    graph = scenario.asserted.copy()
+    graph.add((scenario.user_iri, RDF_TYPE, IRI("http://example.org/Carnivore")))
+    graph.add((scenario.user_iri, RDF_TYPE, IRI("http://example.org/StrictVegan")))
+    with pytest.raises(InconsistentOntologyError, match="disjoint"):
+        builder.closure_cache.materialize(graph, reasoner_factory=builder._base_closure.reasoner)
+    assert len(full_runs) == 1  # the base closure; the miss itself extended it
+
+
+def test_non_monotone_base_takes_the_full_run_fallback(catalog, full_runs):
+    """An allValuesFrom equivalence makes extension unsound: every miss runs
+    the full reasoner, the base closure is never built, and the result is
+    the full run's closure."""
+    builder = ScenarioBuilder(catalog, base_graph=_base_with(catalog, _PREFIXES + (
+        "ex:OnlyLikesRecipes owl:equivalentClass [ a owl:Restriction ;\n"
+        "    owl:onProperty feo:likes ; owl:allValuesFrom <%s> ] .\n" % FOOD_RECIPE)))
+    user, context = persona("paper")
+    for text in PAPER_QUESTIONS:
+        scenario = builder.build(parse_question(text), user, context)
+        expected = Reasoner(scenario.asserted).run()
+        annotate_facts_and_foils(expected, scenario.ecosystem_iri)
+        assert_same_closure(expected, scenario.inferred, text)
+    assert builder._base_closure._closure is None
+    assert len(full_runs) == 2 * len(PAPER_QUESTIONS)  # each miss, then its oracle
+
+
+def test_graph_that_is_not_a_superset_of_the_base_takes_the_full_run(
+        scenario_builder, full_runs):
+    """Extending the base closure is only sound for base + data triples: a
+    graph missing a base triple (here a schema one), encoded in another
+    dictionary, or adding an axiom is closed by ``Reasoner.run`` under its
+    own axioms."""
+    user, context = persona("paper")
+    asserted = scenario_builder.build(parse_question(PAPER_QUESTIONS[0]), user, context,
+                                      run_reasoner=False).asserted
+    missing = asserted.copy()
+    missing.remove(sorted(scenario_builder._base.triples((None, RDFS_SUBCLASSOF, None)))[0])
+    foreign = Graph()
+    foreign.addN(asserted)
+    schema = asserted.copy()
+    schema.add((FOOD_RECIPE, RDFS_SUBCLASSOF, IRI("http://example.org/Dish")))
+    for graph in (missing, foreign, schema):
+        closed = scenario_builder._base_closure.reasoner(graph).run()
+        assert_same_closure(Reasoner(graph).run(), closed, "non-superset fallback")
+    assert len(full_runs) == 6  # each fallback, then its oracle
+
+
+def test_paper_goldens_are_byte_identical_through_base_extension(catalog, full_runs):
+    """A fresh engine reproduces ``paper_answers.json`` byte for byte while
+    running the full reasoner once, for the base closure."""
+    engine = ExplanationEngine(catalog=catalog)
+    assert collect(ExplanationService(engine=engine), engine) == \
+        GOLDEN_PATH.read_text(encoding="utf-8")
+    assert len(full_runs) == 1
+    assert full_runs[0].base_graph is engine.builder._base

@@ -27,6 +27,7 @@ import http.client
 import json
 import os
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -36,7 +37,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.owl import MaterializationCache
+from repro.core.engine import ExplanationEngine
+from repro.owl import MaterializationCache, Reasoner
 from repro.rdf.graph import FrozenGraphError, Graph
 from repro.rdf.terms import IRI
 from repro.service import (
@@ -48,6 +50,7 @@ from repro.service import (
 )
 from repro.users.personas import paper_context, paper_user, persona
 from repro.users.sessions import SessionRegistry
+from test_generator_determinism import PAPER_QUESTIONS
 
 #: Reader/worker thread count for the race tests (CI matrix: 2 and 8).
 WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "4")))
@@ -785,6 +788,78 @@ class TestSingleFlight:
             assert len(set(fingerprints)) == 1
         finally:
             sharded.stop()
+
+
+# ---------------------------------------------------------------------------
+# One base closure per fleet: every shard's misses extend it
+# ---------------------------------------------------------------------------
+class TestSharedBaseClosure:
+    """The ontology + KG is reasoned once per fleet, not once per miss or
+    per shard: every closure miss on every shard is a COW copy of the one
+    frozen base closure grown by ``Reasoner.extend``."""
+
+    def test_fleet_reasons_the_base_once_and_every_miss_extends_it(
+            self, catalog, monkeypatch):
+        runs = []
+        full_run = Reasoner.run
+
+        def counting_run(reasoner):
+            runs.append(threading.get_ident())
+            return full_run(reasoner)
+
+        monkeypatch.setattr(Reasoner, "run", counting_run)
+        # A fresh engine: its base closure has not been built yet.
+        engine = ExplanationEngine(catalog=catalog)
+        fleet = ShardedExplanationService(
+            num_shards=4, workers_per_shard=max(2, WORKERS), queue_size=64,
+            engine=engine)
+        try:
+            # Two tenants per shard, so every shard misses, and all of them
+            # ask at once so the first misses race for the base closure.
+            tenants = {}
+            for n in range(200):
+                user = replace(paper_user(), identifier=f"tenant-{n}")
+                homes = tenants.setdefault(fleet._shard_by_key(user.identifier).index, [])
+                if len(homes) < 2:
+                    homes.append(user)
+            assert sorted(tenants) == [0, 1, 2, 3]
+            users = [user for homes in tenants.values() for user in homes]
+            barrier = threading.Barrier(len(users))
+            errors = []
+
+            def client(user):
+                try:
+                    barrier.wait(timeout=30)
+                    for question in PAPER_QUESTIONS:
+                        fleet.ask(question, user=user, context=paper_context())
+                except Exception as exc:  # pragma: no cover - surfaced below
+                    errors.append(exc)
+
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)  # interleave the racing first misses
+            try:
+                _run_threads([lambda u=user: client(u) for user in users])
+            finally:
+                sys.setswitchinterval(switch)
+            assert not errors, f"clients failed: {errors[:3]}"
+
+            assert len(runs) == 1, "only the base closure may run the full reasoner"
+            base = engine.builder._base_closure
+            base_closure = base.closure()
+            assert base_closure.frozen
+            for shard in fleet.shards:
+                builder = shard.service.engine.builder
+                assert builder._base_closure is base
+                cache = builder.closure_cache
+                assert cache.stats()["misses"] >= len(PAPER_QUESTIONS)
+                for _, closure, _ in cache.export_entries():
+                    assert closure.dictionary is base_closure.dictionary
+                    # A COW child: index entries the delta never touched are
+                    # the base closure's own objects, not copies.
+                    assert any(closure._pos[p] is entry
+                               for p, entry in base_closure._pos.items())
+        finally:
+            fleet.stop()
 
 
 # ---------------------------------------------------------------------------
