@@ -176,3 +176,52 @@ def test_scenario_closure_miss_is_4x_faster_than_a_full_run():
           f"(asserted={len(asserted)}, closed={len(full)})")
     perf_gate(speedup >= 4.0,
               f"a closure miss must be >=4x faster than Reasoner.run, got {speedup:.1f}x")
+
+
+def test_profile_update_extend_p50_is_under_5ms(monkeypatch):
+    """ROADMAP item 5's absolute gate: ``Reasoner.extend`` for a profile
+    update (a diet, a like and an allergy, as e2ebench's live_updates
+    sends) over the served knowledge graph's scale (e2ebench's
+    ``KG_CONFIG``), unscaled, has a p50 of at most 5 ms.  Each update is a
+    distinct delta folded into the cached CQ1 closure of the paper persona;
+    every result is checked against a full run of the grown graph."""
+    import statistics
+
+    engine = ExplanationEngine(
+        catalog=generate_catalog(extra_recipes=100, extra_ingredients=50))
+    builder = engine.builder
+    catalog = builder.catalog
+    user, context = persona("paper")
+    scenario = builder.build(
+        parse_question("Why should I eat Cauliflower Potato Curry?"), user, context)
+    timings = []
+    extend = Reasoner.extend
+
+    def timed_extend(reasoner, closure, added):
+        start = time.perf_counter()
+        result = extend(reasoner, closure, added)
+        timings.append(time.perf_counter() - start)
+        return result
+
+    monkeypatch.setattr(Reasoner, "extend", timed_extend)
+    diets = [diet for diet in sorted(catalog.diets) if diet not in user.diets]
+    likes = [r for r in sorted(catalog.recipes) if r not in user.likes]
+    allergies = [i for i in sorted(catalog.ingredients) if i not in user.allergies]
+    axioms = builder._base_closure.axioms
+    for index in range(21):
+        updated = builder.update_scenario(
+            scenario, diets=(diets[index % len(diets)],),
+            likes=(likes[7 * index % len(likes)],),
+            allergies=(allergies[5 * index % len(allergies)],))
+        if index % 5 == 0:
+            full = Reasoner(updated.asserted, axioms=axioms).run()
+            annotate_facts_and_foils(full, updated.ecosystem_iri)
+            assert set(full) == set(updated.inferred)
+    assert len(timings) == 21
+    p50_ms = statistics.median(timings) * 1000
+    print(f"\nprofile-update extend: p50={p50_ms:.2f}ms "
+          f"max={max(timings) * 1000:.2f}ms over {len(timings)} updates "
+          f"(closed={len(scenario.inferred)})")
+    perf_gate(p50_ms <= 5.0,
+              f"a profile update's Reasoner.extend must have p50 <= 5 ms, "
+              f"got {p50_ms:.2f} ms")

@@ -323,6 +323,9 @@ def _cmd_close(engine: ExplanationEngine, args: argparse.Namespace) -> int:
           f"elapsed: {report.elapsed_seconds:.3f}s")
     for rule in sorted(report.rule_firings):
         print(f"  {rule}: {report.rule_firings[rule]}")
+    print("seconds per rule family: " + "  ".join(
+        f"{family} {seconds:.3f}s" for family, seconds in report.rule_seconds.items()))
+    print(f"classification checks: {report.classification_checks}")
     return 0
 
 

@@ -69,7 +69,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..rdf.graph import Graph, Triple
 from .axioms import AxiomIndex
-from .reasoner import Reasoner
+from .reasoner import Reasoner, _RuleTables
 
 __all__ = ["BaseClosure", "MaterializationCache"]
 
@@ -86,7 +86,9 @@ class BaseClosure:
     every scenario graph.  The closure itself is reasoned on the first
     :meth:`closure` call only — a builder that never misses never pays for
     it — and every builder over the same base (a fleet's shards included)
-    shares one instance.
+    shares one instance.  So do the reasoners it hands out: the rule
+    tables (compiled matchers, triggers and emitters) are built from the
+    axiom index once, by the first reasoner, not once per request.
     """
 
     def __init__(self, base: Graph) -> None:
@@ -94,6 +96,7 @@ class BaseClosure:
         self.axioms = AxiomIndex.from_graph(base)
         self._lock = threading.Lock()
         self._closure: Optional[Graph] = None
+        self._tables: Optional[_RuleTables] = None
 
     def closure(self) -> Graph:
         """The base's frozen deductive closure, reasoned (and checked for
@@ -119,9 +122,18 @@ class BaseClosure:
         return [graph.decode_triple(triple) for triple in extra]
 
     def reasoner(self, graph: Graph) -> Reasoner:
-        """A reasoner over ``graph`` with the base's axiom index, whose
-        ``run()`` extends the base closure instead of re-closing the base."""
+        """A reasoner over ``graph`` with the base's axiom index and rule
+        tables, whose ``run()`` extends the base closure instead of
+        re-closing the base."""
         return _BaseExtendingReasoner(graph, self)
+
+    def tables(self) -> _RuleTables:
+        """The rule tables of the base's axiom index, built on first use.
+        Read-only once built, so a racing second build is only wasted work."""
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = _RuleTables(self.axioms)
+        return tables
 
 
 class _BaseExtendingReasoner(Reasoner):
@@ -139,12 +151,12 @@ class _BaseExtendingReasoner(Reasoner):
     def __init__(self, graph: Graph, base: BaseClosure) -> None:
         super().__init__(graph, axioms=base.axioms)
         self._base = base
+        self._tables = base.tables()
 
     def run(self) -> Graph:
         delta = self._base.delta(self.base_graph)
         if delta is None or any(self._is_schema_triple(triple) for triple in delta):
-            self.axioms = AxiomIndex.from_graph(self.base_graph)
-            self._prepare_axiom_state()
+            self._use_axioms(AxiomIndex.from_graph(self.base_graph))
             return super().run()
         if not self.supports_incremental_extension:
             return super().run()

@@ -11,7 +11,7 @@ membership with :meth:`ClassExpression.matches`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from ..rdf.collection import read_collection
 from ..rdf.dictionary import KIND_LITERAL, TermDictionary
@@ -44,8 +44,10 @@ __all__ = [
     "UnionOf",
     "ComplementOf",
     "OneOf",
+    "Delta",
     "compile_consequences",
     "compile_matcher",
+    "compile_trigger",
     "parse_class_expression",
 ]
 
@@ -285,31 +287,53 @@ def _parse_operands(graph: Graph, list_head) -> List[ClassExpression]:
 # ---------------------------------------------------------------------------
 # Encoded-domain compilation
 # ---------------------------------------------------------------------------
+class Delta(NamedTuple):
+    """One reasoning round's new triples, grouped once for the triggers.
+
+    ``by_pred`` maps each predicate to the subjects of its new triples,
+    ``typed`` each class to the individuals that gained that type, and
+    ``nodes`` holds every individual the new triples touch (subjects, and
+    non-literal objects of non-type triples).
+    """
+
+    by_pred: Dict[int, Set[int]]
+    typed: Dict[int, Set[int]]
+    nodes: Set[int]
+
+
+_NONE: FrozenSet[int] = frozenset()
+
+
 def compile_matcher(expression: ClassExpression, dictionary: TermDictionary):
     """Compile ``expression`` into a membership predicate over encoded IDs.
 
-    The returned callable ``matcher(graph, individual_id, type_index)``
-    mirrors :meth:`ClassExpression.matches` exactly, but every operand is
-    an integer from ``dictionary`` and ``type_index`` maps individual IDs
-    to sets of named-class IDs — so the reasoner's classification loop
-    probes the graph's integer indexes directly instead of hashing terms.
+    The returned callable ``matcher(graph, individual_id)`` mirrors
+    :meth:`ClassExpression.matches` exactly, but every operand is an
+    integer from ``dictionary`` and named-class membership is read from
+    the graph's own SPO index (``graph._spo[individual][rdf:type]``) — so
+    the reasoner's classification loop probes the integer indexes
+    directly instead of hashing terms or keeping a type index of its own.
     Expression constants are interned once, at compile time.
     """
     intern = dictionary.intern
     if isinstance(expression, NamedClass):
         if expression.iri == OWL_THING:
-            return lambda graph, individual, type_index: True
+            return lambda graph, individual: True
         cls_id = intern(expression.iri)
+        type_id = intern(RDF_TYPE)
 
-        def named_matcher(graph, individual, type_index, _cls=cls_id):
-            types = type_index.get(individual)
+        def named_matcher(graph, individual, _cls=cls_id, _t=type_id):
+            by_pred = graph._spo.get(individual)
+            if not by_pred:
+                return False
+            types = by_pred.get(_t)
             return types is not None and _cls in types
         return named_matcher
     if isinstance(expression, SomeValuesFrom):
         prop_id = intern(expression.property)
         filler = compile_matcher(expression.filler, dictionary)
 
-        def some_matcher(graph, individual, type_index, _p=prop_id, _f=filler):
+        def some_matcher(graph, individual, _p=prop_id, _f=filler):
             by_pred = graph._spo.get(individual)
             if not by_pred:
                 return False
@@ -317,7 +341,7 @@ def compile_matcher(expression: ClassExpression, dictionary: TermDictionary):
             if not values:
                 return False
             for value in values:
-                if _f(graph, value, type_index):
+                if _f(graph, value):
                     return True
             return False
         return some_matcher
@@ -325,12 +349,12 @@ def compile_matcher(expression: ClassExpression, dictionary: TermDictionary):
         prop_id = intern(expression.property)
         filler = compile_matcher(expression.filler, dictionary)
 
-        def all_matcher(graph, individual, type_index, _p=prop_id, _f=filler):
+        def all_matcher(graph, individual, _p=prop_id, _f=filler):
             by_pred = graph._spo.get(individual)
             if not by_pred:
                 return True
             for value in by_pred.get(_p, ()):
-                if not _f(graph, value, type_index):
+                if not _f(graph, value):
                     return False
             return True
         return all_matcher
@@ -338,16 +362,14 @@ def compile_matcher(expression: ClassExpression, dictionary: TermDictionary):
         prop_id = intern(expression.property)
         value_id = intern(expression.value)
 
-        def has_value_matcher(graph, individual, type_index,
-                              _p=prop_id, _v=value_id):
+        def has_value_matcher(graph, individual, _p=prop_id, _v=value_id):
             return (individual, _p, _v) in graph._triples
         return has_value_matcher
     if isinstance(expression, MinCardinality):
         prop_id = intern(expression.property)
         minimum = expression.cardinality
 
-        def min_card_matcher(graph, individual, type_index,
-                             _p=prop_id, _n=minimum):
+        def min_card_matcher(graph, individual, _p=prop_id, _n=minimum):
             by_pred = graph._spo.get(individual)
             if not by_pred:
                 return 0 >= _n
@@ -356,31 +378,101 @@ def compile_matcher(expression: ClassExpression, dictionary: TermDictionary):
     if isinstance(expression, IntersectionOf):
         operands = tuple(compile_matcher(op, dictionary) for op in expression.operands)
 
-        def intersection_matcher(graph, individual, type_index, _ops=operands):
+        def intersection_matcher(graph, individual, _ops=operands):
             for op in _ops:
-                if not op(graph, individual, type_index):
+                if not op(graph, individual):
                     return False
             return True
         return intersection_matcher
     if isinstance(expression, UnionOf):
         operands = tuple(compile_matcher(op, dictionary) for op in expression.operands)
 
-        def union_matcher(graph, individual, type_index, _ops=operands):
+        def union_matcher(graph, individual, _ops=operands):
             for op in _ops:
-                if op(graph, individual, type_index):
+                if op(graph, individual):
                     return True
             return False
         return union_matcher
     if isinstance(expression, ComplementOf):
         operand = compile_matcher(expression.operand, dictionary)
-        return lambda graph, individual, type_index, _op=operand: not _op(
-            graph, individual, type_index)
+        return lambda graph, individual, _op=operand: not _op(graph, individual)
     if isinstance(expression, OneOf):
         member_ids = frozenset(intern(member) for member in expression.members)
-        return lambda graph, individual, type_index, _m=member_ids: individual in _m
+        return lambda graph, individual, _m=member_ids: individual in _m
     # Unknown expression kind: never matches (mirrors the conservative
     # behaviour of the parser, which drops unsupported axioms).
-    return lambda graph, individual, type_index: False
+    return lambda graph, individual: False
+
+
+def compile_trigger(expression: ClassExpression, dictionary: TermDictionary):
+    """Compile the individuals whose membership in ``expression`` a round's
+    :class:`Delta` may change.
+
+    The returned callable ``trigger(graph, delta)`` gives a superset of the
+    individuals whose :func:`compile_matcher` verdict can differ from the
+    one before the round's triples were added (``graph`` already holds
+    them), so a semi-naive round re-tests only those instead of every
+    individual.  Callers must not mutate the returned set.
+
+    * named class C: the individuals newly typed C;
+    * ``∃p.F``: subjects of new ``p`` triples, plus the ``p``-subjects of
+      every individual the filler's trigger yields (one backward hop
+      through the POS index);
+    * ``hasValue`` / ``minCardinality``: subjects of new ``p`` triples;
+    * intersection and union: the union of the operands' triggers;
+    * ``owl:Thing``, ``minCardinality 0`` and ``oneOf``: the round's new
+      individuals (members only, for ``oneOf``), since they match from the
+      moment they exist;
+    * ``allValuesFrom`` and ``complementOf``: as ``∃p.F`` and the
+      operand, plus the round's nodes, because both match vacuously.
+    """
+    intern = dictionary.intern
+    if isinstance(expression, NamedClass):
+        if expression.iri == OWL_THING:
+            return lambda graph, delta: delta.nodes
+        cls_id = intern(expression.iri)
+        return lambda graph, delta, _c=cls_id: delta.typed.get(_c, _NONE)
+    if isinstance(expression, (SomeValuesFrom, AllValuesFrom)):
+        prop_id = intern(expression.property)
+        filler = compile_trigger(expression.filler, dictionary)
+        vacuous = isinstance(expression, AllValuesFrom)
+
+        def edge_trigger(graph, delta, _p=prop_id, _f=filler, _vacuous=vacuous):
+            found = set(delta.by_pred.get(_p, _NONE))
+            changed = _f(graph, delta)
+            if changed:
+                by_obj = graph._pos.get(_p)
+                if by_obj:
+                    for value in changed:
+                        subjects = by_obj.get(value)
+                        if subjects:
+                            found |= subjects
+            if _vacuous:
+                found |= delta.nodes
+            return found
+        return edge_trigger
+    if isinstance(expression, MinCardinality) and expression.cardinality <= 0:
+        return lambda graph, delta: delta.nodes
+    if isinstance(expression, (HasValue, MinCardinality)):
+        prop_id = intern(expression.property)
+        return lambda graph, delta, _p=prop_id: delta.by_pred.get(_p, _NONE)
+    if isinstance(expression, (IntersectionOf, UnionOf)):
+        operands = tuple(compile_trigger(op, dictionary) for op in expression.operands)
+
+        def operands_trigger(graph, delta, _ops=operands):
+            found: Set[int] = set()
+            for op in _ops:
+                found |= op(graph, delta)
+            return found
+        return operands_trigger
+    if isinstance(expression, ComplementOf):
+        operand = compile_trigger(expression.operand, dictionary)
+        return lambda graph, delta, _op=operand: _op(graph, delta) | delta.nodes
+    if isinstance(expression, OneOf):
+        member_ids = frozenset(intern(member) for member in expression.members)
+        return lambda graph, delta, _m=member_ids: delta.nodes & _m
+    # Unknown expression kind: its matcher never matches.
+    return lambda graph, delta: _NONE
 
 
 def compile_consequences(expression: ClassExpression, dictionary: TermDictionary,

@@ -34,10 +34,14 @@ through the SPO/POS/OSP indexes, instead of rescanning every triple per
 iteration.  Every rule family runs in the **encoded domain**: the graph's
 dictionary-encoded ``(int, int, int)`` triples are joined through
 integer-keyed indexes, with the axiom tables and class expressions
-translated into the same ID space once per run (:class:`_EncodedAxioms`).
-The historical fixed-point loop over term objects survives as
-:meth:`Reasoner.run_naive`, the reference oracle the differential test
-suite compares against.
+translated into the same ID space once per axiom index and dictionary
+(:class:`_EncodedAxioms`, held by a shareable :class:`_RuleTables`).
+Restriction classification is delta-directed too: past the first round,
+each class expression is re-tested only on the individuals its compiled
+trigger (:func:`~repro.owl.expressions.compile_trigger`) says the round's
+new triples can reclassify.  The historical fixed-point loop over term
+objects survives as :meth:`Reasoner.run_naive`, the reference oracle the
+differential test suite compares against.
 
 Because each round's work is proportional to its delta, the same machinery
 supports **incremental closure maintenance**: :meth:`Reasoner.extend` grows
@@ -60,6 +64,7 @@ from .expressions import (
     AllValuesFrom,
     ClassExpression,
     ComplementOf,
+    Delta,
     HasValue,
     IntersectionOf,
     NamedClass,
@@ -67,6 +72,7 @@ from .expressions import (
     UnionOf,
     compile_consequences,
     compile_matcher,
+    compile_trigger,
 )
 from .vocabulary import (
     OWL_ALL_VALUES_FROM,
@@ -157,44 +163,37 @@ def _expression_is_monotone(expression: ClassExpression) -> bool:
     return True
 
 
-def _expression_levels(expression: ClassExpression) -> int:
-    """How many property edges separate an individual from the deepest node
-    whose triples the expression's ``matches`` inspects.
-
-    This bounds the reverse-reachability expansion needed to find every
-    individual whose membership in the expression may have changed after a
-    delta (see :meth:`Reasoner._restriction_candidates_ids`).
-    """
-    if isinstance(expression, (SomeValuesFrom, AllValuesFrom)):
-        return 1 + _expression_levels(expression.filler)
-    if isinstance(expression, (IntersectionOf, UnionOf)):
-        return max((_expression_levels(op) for op in expression.operands), default=0)
-    if isinstance(expression, ComplementOf):
-        return _expression_levels(expression.operand)
-    return 0
-
-
 @dataclass
 class ReasoningReport:
-    """Statistics describing one materialisation run."""
+    """Statistics describing one materialisation run.
+
+    ``rule_seconds`` is the time per rule family (``property``, ``type``,
+    ``classification``, ``consequences``) and ``classification_checks``
+    the number of class-expression membership tests classification made.
+    """
 
     input_triples: int = 0
     inferred_triples: int = 0
     iterations: int = 0
     elapsed_seconds: float = 0.0
     rule_firings: Dict[str, int] = field(default_factory=dict)
+    rule_seconds: Dict[str, float] = field(default_factory=dict)
+    classification_checks: int = 0
 
     def record(self, rule: str, count: int = 1) -> None:
         if count:
             self.rule_firings[rule] = self.rule_firings.get(rule, 0) + count
 
+    def time(self, family: str, seconds: float) -> None:
+        self.rule_seconds[family] = self.rule_seconds.get(family, 0.0) + seconds
+
 
 class _EncodedAxioms:
     """The axiom lookup tables translated into one dictionary's ID space.
 
-    Built once per (axiom state, term dictionary) pair and cached on the
-    reasoner, so every semi-naive round joins its delta against plain
-    integer-keyed dictionaries — no term hashing, no decoding.  The
+    Built once per (axiom index, term dictionary) pair and cached on the
+    :class:`_RuleTables`, so every semi-naive round joins its delta against
+    plain integer-keyed dictionaries — no term hashing, no decoding.  The
     dictionary is append-only, so translated IDs stay valid for the life
     of the graph family.
     """
@@ -203,30 +202,33 @@ class _EncodedAxioms:
         "dictionary", "superproperties", "inverse_of", "symmetric",
         "transitive", "chain_steps", "domains", "ranges",
         "rdf_type", "rdfs_subclassof", "owl_same_as",
-        "equivalences", "complex_subclasses", "complex_superclasses",
-        "restriction_properties", "schema_only_preds",
+        "classifications", "complex_superclasses",
+        "has_restrictions", "schema_only_preds",
     )
 
-    def __init__(self, reasoner: "Reasoner", dictionary: TermDictionary) -> None:
+    def __init__(self, axioms: AxiomIndex, dictionary: TermDictionary) -> None:
         intern = dictionary.intern
         self.dictionary = dictionary
-        axioms = reasoner.axioms
-        self.superproperties: Dict[int, Tuple[int, ...]] = {
-            intern(prop): tuple(intern(sup) for sup in supers)
-            for prop, supers in reasoner._superproperties.items() if supers
-        }
+        self.superproperties: Dict[int, Tuple[int, ...]] = {}
+        for prop in axioms.subproperty_of:
+            supers = axioms.superproperty_closure(prop) - {prop}
+            if supers:
+                self.superproperties[intern(prop)] = tuple(intern(sup) for sup in supers)
         self.inverse_of: Dict[int, Tuple[int, ...]] = {
             intern(prop): tuple(intern(inv) for inv in inverses)
             for prop, inverses in axioms.inverse_of.items() if inverses
         }
         self.symmetric: Set[int] = {intern(prop) for prop in axioms.symmetric}
         self.transitive: Set[int] = {intern(prop) for prop in axioms.transitive}
+        # Each property maps to every (head, chain, position) it appears in,
+        # so a delta triple can be joined into the chain at its position.
         self.chain_steps: Dict[int, List[Tuple[int, Tuple[int, ...], int]]] = {}
-        for step, entries in reasoner._chain_steps.items():
-            self.chain_steps[intern(step)] = [
-                (intern(head), tuple(intern(link) for link in chain), position)
-                for head, chain, position in entries
-            ]
+        for head, chains in axioms.property_chains.items():
+            for chain in chains:
+                links = tuple(intern(link) for link in chain)
+                for position, step in enumerate(links):
+                    self.chain_steps.setdefault(step, []).append(
+                        (intern(head), links, position))
         self.domains: Dict[int, Tuple[int, ...]] = {
             intern(prop): tuple(intern(cls) for cls in classes)
             for prop, classes in axioms.domains.items() if classes
@@ -238,26 +240,61 @@ class _EncodedAxioms:
         self.rdf_type = intern(RDF_TYPE)
         self.rdfs_subclassof = intern(RDFS_SUBCLASSOF)
         self.owl_same_as = intern(OWL_SAME_AS)
-        # Restriction machinery, compiled to ID space: membership matchers
-        # for the classification direction and consequence emitters for the
-        # superclass direction (see repro.owl.expressions).
-        self.equivalences: List[Tuple[int, object]] = [
-            (intern(axiom.named), compile_matcher(axiom.expression, dictionary))
-            for axiom in axioms.equivalences
+        # Restriction machinery, compiled to ID space (see
+        # repro.owl.expressions): for the classification direction, each
+        # named class with the membership matcher of its expression and the
+        # trigger naming the individuals a round's delta may reclassify; for
+        # the consequence direction, each subclass with its consequence
+        # emitter and the properties the emitter reads.
+        classifications = [(axiom.named, axiom.expression) for axiom in axioms.equivalences]
+        classifications.extend(
+            (named, expression) for expression, named in axioms.complex_subclasses)
+        self.classifications: List[Tuple[int, object, object]] = [
+            (intern(named), compile_matcher(expression, dictionary),
+             compile_trigger(expression, dictionary))
+            for named, expression in classifications
         ]
-        self.complex_subclasses: List[Tuple[int, object]] = [
-            (intern(named), compile_matcher(expression, dictionary))
-            for expression, named in axioms.complex_subclasses
-        ]
-        self.complex_superclasses: List[Tuple[int, object]] = [
+        self.complex_superclasses: List[Tuple[int, object, Tuple[int, ...]]] = [
             (intern(axiom.sub),
-             compile_consequences(axiom.super_expression, dictionary, self.rdf_type))
+             compile_consequences(axiom.super_expression, dictionary, self.rdf_type),
+             tuple(intern(prop) for prop in axiom.super_expression.properties()))
             for axiom in axioms.complex_superclasses
         ]
-        self.restriction_properties: FrozenSet[int] = frozenset(
-            intern(prop) for prop in reasoner._restriction_properties)
+        self.has_restrictions = bool(self.classifications or self.complex_superclasses)
         self.schema_only_preds: FrozenSet[int] = frozenset(
             (self.rdfs_subclassof, intern(RDFS_SUBPROPERTYOF)))
+
+
+class _RuleTables:
+    """Everything the rule families need from one :class:`AxiomIndex`.
+
+    Holds the monotonicity verdict and, per term dictionary, the
+    :class:`_EncodedAxioms`.  Read-only once built, so one instance can
+    serve any number of reasoners over the same axioms and graph family:
+    a :class:`~repro.owl.closure.BaseClosure` builds it on first use and
+    every reasoner it hands out shares it.
+    """
+
+    __slots__ = ("axioms", "monotone", "_encoded")
+
+    def __init__(self, axioms: AxiomIndex) -> None:
+        self.axioms = axioms
+        # Only the classification direction matters for monotonicity: the
+        # consequence direction (complex_superclasses) derives triples from
+        # established named-class membership, which additions never revoke.
+        self.monotone = all(
+            _expression_is_monotone(axiom.expression) for axiom in axioms.equivalences
+        ) and all(
+            _expression_is_monotone(expr) for expr, _ in axioms.complex_subclasses
+        )
+        self._encoded: Optional[_EncodedAxioms] = None
+
+    def encoded(self, dictionary: TermDictionary) -> _EncodedAxioms:
+        """The axiom tables in ``dictionary``'s ID space (cached)."""
+        state = self._encoded
+        if state is None or state.dictionary is not dictionary:
+            state = self._encoded = _EncodedAxioms(self.axioms, dictionary)
+        return state
 
 
 class Reasoner:
@@ -275,66 +312,19 @@ class Reasoner:
         self.max_iterations = max_iterations
         self.check_consistency = check_consistency
         self.report = ReasoningReport()
-        # Live ``individual ID -> class IDs`` index shared by the rule
-        # families during an encoded fixpoint run; None outside of one (the
-        # naive oracle rebuilds its own term-keyed index every iteration).
-        self._active_type_index: Optional[Dict[int, Set[int]]] = None
-        self._prepare_axiom_state()
+        # Built from :attr:`axioms` on first use (see :meth:`_rule_tables`).
+        self._tables: Optional[_RuleTables] = None
 
-    def _prepare_axiom_state(self) -> None:
-        """Precompute the lookup structures the delta-driven rules join on.
+    def _rule_tables(self) -> _RuleTables:
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = _RuleTables(self.axioms)
+        return tables
 
-        Everything here depends only on :attr:`axioms`, so it is rebuilt
-        exactly when the axiom index is (construction, or a schema-bearing
-        :meth:`extend`).
-        """
-        axioms = self.axioms
-        self._superproperties: Dict[IRI, Set[IRI]] = {
-            prop: axioms.superproperty_closure(prop) - {prop}
-            for prop in axioms.subproperty_of
-        }
-        # Map each property to every (head, chain, position) it appears in,
-        # so a delta triple can be joined into the chain at its position.
-        chain_steps: Dict[IRI, List[Tuple[IRI, List[IRI], int]]] = {}
-        for head, chains in axioms.property_chains.items():
-            for chain in chains:
-                for position, step in enumerate(chain):
-                    chain_steps.setdefault(step, []).append((head, chain, position))
-        self._chain_steps = chain_steps
-        # Restriction bookkeeping: the union of properties any class
-        # expression inspects, and the deepest nesting level, bound the
-        # reverse expansion that finds re-classification candidates.
-        expressions = [axiom.expression for axiom in axioms.equivalences]
-        expressions.extend(expr for expr, _ in axioms.complex_subclasses)
-        expressions.extend(axiom.super_expression for axiom in axioms.complex_superclasses)
-        properties: Set[IRI] = set()
-        depth = 0
-        for expression in expressions:
-            properties |= expression.properties()
-            depth = max(depth, _expression_levels(expression))
-        properties -= _SCHEMA_ONLY_PREDICATES
-        self._restriction_properties = properties
-        self._restriction_depth = depth
-        self._has_restrictions = bool(expressions)
-        # Only the classification direction matters for monotonicity: the
-        # consequence direction (complex_superclasses) derives triples from
-        # established named-class membership, which additions never revoke.
-        self._monotone_classification = all(
-            _expression_is_monotone(axiom.expression) for axiom in axioms.equivalences
-        ) and all(
-            _expression_is_monotone(expr) for expr, _ in axioms.complex_subclasses
-        )
-        # ID-space translation of the tables above; rebuilt lazily per
-        # dictionary the first time an encoded fixpoint runs.
-        self._enc_axioms: Optional[_EncodedAxioms] = None
-
-    def _encoded_axioms(self, graph: Graph) -> _EncodedAxioms:
-        """The axiom tables in ``graph``'s dictionary ID space (cached)."""
-        state = self._enc_axioms
-        if state is None or state.dictionary is not graph.dictionary:
-            state = _EncodedAxioms(self, graph.dictionary)
-            self._enc_axioms = state
-        return state
+    def _use_axioms(self, axioms: AxiomIndex) -> None:
+        """Switch to ``axioms``, with tables of this reasoner's own."""
+        self.axioms = axioms
+        self._tables = None
 
     # ------------------------------------------------------------------
     # Entry points
@@ -369,10 +359,11 @@ class Reasoner:
         previous :meth:`run` / :meth:`extend` result) and ``added_triples``
         the newly asserted base triples; afterwards ``closure`` equals a
         full :meth:`run` over *base + added*.  Work is proportional to the
-        consequences of the delta — plus, when the delta reaches restriction
-        machinery, one type-index pass over the closure — unless the delta
-        carries schema triples (new axioms), in which case the axiom index
-        is rebuilt from the extended graph and everything is re-closed.
+        consequences of the delta: each round re-tests only the individuals
+        its new triples can reclassify (see :meth:`_fixpoint_encoded`) —
+        unless the delta carries schema triples (new axioms), in which case
+        the axiom index is rebuilt from the extended graph and everything
+        is re-closed.
 
         Incremental extension requires every classification axiom to be
         monotone (see :attr:`supports_incremental_extension`): closed-world
@@ -387,7 +378,7 @@ class Reasoner:
         The caller owns ``closure``: pass a private copy when the original
         (e.g. a shared cache entry) must stay untouched.
         """
-        if not self._monotone_classification:
+        if not self.supports_incremental_extension:
             raise ValueError(
                 "incremental extension is unsound for closed-world "
                 "(allValuesFrom/complementOf) classification axioms; "
@@ -410,9 +401,8 @@ class Reasoner:
                     # a delta-proportional update is unsound here: rebuild the
                     # index and re-close everything.
                     schema_changed = True
-                    self.axioms = AxiomIndex.from_graph(closure)
-                    self._prepare_axiom_state()
-                    if not self._monotone_classification:
+                    self._use_axioms(AxiomIndex.from_graph(closure))
+                    if not self.supports_incremental_extension:
                         raise ValueError(
                             "the delta introduces closed-world classification "
                             "axioms; the closure cannot be extended in place — "
@@ -443,7 +433,7 @@ class Reasoner:
     def supports_incremental_extension(self) -> bool:
         """``True`` when :meth:`extend` is sound under the current axioms
         (every classification axiom is monotone)."""
-        return self._monotone_classification
+        return self._rule_tables().monotone
 
     @staticmethod
     def _is_schema_triple(triple: Triple) -> bool:
@@ -492,26 +482,36 @@ class Reasoner:
         triples a family adds are seen by the other families next round (the
         round granularity only affects how firings are batched, not the fixed
         point).  ``initial`` marks a round whose delta is the whole graph, so
-        restriction classification can skip candidate discovery and check
-        every individual, exactly like the naive first iteration.  The
-        shared type index is built lazily, only once restriction rules have
-        candidates, and :meth:`_add_all_encoded` keeps it fresh from there.
+        restriction classification checks every individual, exactly like
+        the naive first iteration; every later round groups its delta once
+        (:meth:`_group_delta`) and re-tests only the individuals the
+        compiled triggers name.  Time per rule family lands in the report.
         """
-        enc = self._encoded_axioms(graph)
+        enc = self._rule_tables().encoded(graph.dictionary)
+        clock = time.perf_counter
+        seconds = dict.fromkeys(("property", "type", "classification", "consequences"), 0.0)
         iteration = 0
         ancestor_cache: Dict[int, Tuple[int, ...]] = {}
-        self._active_type_index = None
-        try:
-            while delta and iteration < self.max_iterations:
-                iteration += 1
-                out: List[EncodedTriple] = []
-                self._apply_property_rules_encoded(graph, delta, out, enc)
-                self._apply_type_rules_encoded(graph, delta, out, enc, ancestor_cache)
-                self._apply_restriction_rules_encoded(
-                    graph, delta, out, check_everything=initial and iteration == 1)
-                delta = out
-        finally:
-            self._active_type_index = None
+        while delta and iteration < self.max_iterations:
+            iteration += 1
+            out: List[EncodedTriple] = []
+            started = clock()
+            self._apply_property_rules_encoded(graph, delta, out, enc)
+            typed = clock()
+            self._apply_type_rules_encoded(graph, delta, out, enc, ancestor_cache)
+            classified = clock()
+            seconds["property"] += typed - started
+            seconds["type"] += classified - typed
+            if enc.has_restrictions:
+                grouped = None if initial and iteration == 1 else self._group_delta(delta, enc)
+                self._apply_classification_encoded(graph, grouped, out, enc)
+                consequences = clock()
+                self._apply_consequences_encoded(graph, grouped, out, enc)
+                seconds["classification"] += consequences - classified
+                seconds["consequences"] += clock() - consequences
+            delta = out
+        for family, spent in seconds.items():
+            self.report.time(family, spent)
         return iteration
 
     def _property_candidates_encoded(
@@ -684,23 +684,6 @@ class Reasoner:
         self._add_all_encoded(graph, dr_adds, "domain-range", out, enc)
         self._add_all_encoded(graph, type_adds, "subClassOf-types", out, enc)
 
-    def _type_index_ids(self, graph: Graph, enc: _EncodedAxioms) -> Dict[int, Set[int]]:
-        """``individual ID -> named-class IDs`` built from the POS index."""
-        index: Dict[int, Set[int]] = {}
-        kinds = enc.dictionary.kinds
-        by_obj = graph._pos.get(enc.rdf_type)
-        if by_obj:
-            for cls, subjects in by_obj.items():
-                if kinds[cls] != KIND_IRI:
-                    continue
-                for subject in subjects:
-                    entry = index.get(subject)
-                    if entry is None:
-                        index[subject] = {cls}
-                    else:
-                        entry.add(cls)
-        return index
-
     def _individuals_ids(self, graph: Graph, enc: _EncodedAxioms) -> Set[int]:
         """Every node the restriction rules may classify: subjects, and
         non-literal objects of non-type triples, outside the schema-only
@@ -717,121 +700,97 @@ class Reasoner:
                 individuals.add(o)
         return individuals
 
-    def _restriction_candidates_ids(self, graph: Graph,
-                                    delta: Sequence[EncodedTriple],
-                                    enc: _EncodedAxioms) -> Set[int]:
-        """Individuals whose class-expression membership may have changed.
+    @staticmethod
+    def _group_delta(delta: Sequence[EncodedTriple], enc: _EncodedAxioms) -> Delta:
+        """Group a round's delta the way the compiled triggers read it.
 
-        Every expression's verdict for an individual depends only on triples
-        of nodes within :func:`_expression_levels` property hops of it, so
-        the touched nodes of the delta, expanded that many hops backwards
-        through the restriction properties, form a sound candidate set.
-        Candidate collection mirrors :meth:`_individuals_ids` so no node
-        that the naive pass would skip (e.g. a class appearing only as a
-        type object) can be classified here.
+        ``nodes`` mirrors :meth:`_individuals_ids`, so no node the naive
+        pass would skip (e.g. a class appearing only as a type object) is
+        ever a candidate.
         """
         kinds = enc.dictionary.kinds
         rdf_type = enc.rdf_type
         schema_only = enc.schema_only_preds
+        by_pred: Dict[int, Set[int]] = {}
+        typed: Dict[int, Set[int]] = {}
         nodes: Set[int] = set()
         for s, p, o in delta:
             if p in schema_only:
                 continue
             nodes.add(s)
-            if p != rdf_type and kinds[o] != KIND_LITERAL:
+            subjects = by_pred.get(p)
+            if subjects is None:
+                by_pred[p] = {s}
+            else:
+                subjects.add(s)
+            if p == rdf_type:
+                if kinds[o] == KIND_IRI:
+                    members = typed.get(o)
+                    if members is None:
+                        typed[o] = {s}
+                    else:
+                        members.add(s)
+            elif kinds[o] != KIND_LITERAL:
                 nodes.add(o)
-        properties = enc.restriction_properties
-        osp = graph._osp
-        frontier = set(nodes)
-        for _ in range(self._restriction_depth):
-            if not frontier:
-                break
-            reached: Set[int] = set()
-            for node in frontier:
-                by_subj = osp.get(node)
-                if not by_subj:
-                    continue
-                for subject, preds in by_subj.items():
-                    if subject not in nodes and not properties.isdisjoint(preds):
-                        nodes.add(subject)
-                        reached.add(subject)
-            frontier = reached
-        return nodes
+        return Delta(by_pred, typed, nodes)
 
-    def _apply_restriction_rules_encoded(self, graph: Graph,
-                                         delta: Sequence[EncodedTriple],
-                                         out: List[EncodedTriple],
-                                         check_everything: bool = False) -> None:
-        """Restriction classification over compiled ID-space matchers.
+    def _apply_classification_encoded(self, graph: Graph, delta: Optional[Delta],
+                                      out: List[EncodedTriple],
+                                      enc: _EncodedAxioms) -> None:
+        """Classification: expression ≡/⊒ named class — an individual that
+        satisfies the expression gains the named type.
 
-        The class expressions were compiled into closures over integer IDs
-        when the encoded axiom state was built, so candidate discovery,
-        membership checks and consequence emission all run on the integer
-        indexes — no term is decoded anywhere in this family.
+        Each class's candidates are what its compiled trigger names for the
+        round's ``delta``, or every individual when ``delta`` is ``None``
+        (the first round of a full run).  Named types are read from the
+        graph's own SPO index, so no term is decoded and no type index is
+        kept anywhere in this family.
         """
-        if not self._has_restrictions:
-            return
-        enc = self._enc_axioms
-        if check_everything:
-            candidates = self._individuals_ids(graph, enc)
-        else:
-            candidates = self._restriction_candidates_ids(graph, delta, enc)
-            if not candidates:
-                return
-        type_index = self._active_type_index
-        if type_index is None:
-            # First round with candidates: build once (additions since the
-            # fixpoint started are already in the graph, so they're covered);
-            # _add_all_encoded maintains it from here on.
-            type_index = self._active_type_index = self._type_index_ids(graph, enc)
-
-        # (a) classification: expression ≡/⊒ named class — if an individual
-        # satisfies the expression it gains the named type.
-        additions = self._classification_candidates_encoded(
-            graph, candidates, enc, type_index)
+        spo = graph._spo
+        rdf_type = enc.rdf_type
+        everyone = self._individuals_ids(graph, enc) if delta is None else None
+        additions: List[EncodedTriple] = []
+        checks = 0
+        for named, matcher, trigger in enc.classifications:
+            candidates = everyone if delta is None else trigger(graph, delta)
+            for individual in candidates:
+                by_pred = spo.get(individual)
+                if by_pred:
+                    types = by_pred.get(rdf_type)
+                    if types and named in types:
+                        continue
+                checks += 1
+                if matcher(graph, individual):
+                    additions.append((individual, rdf_type, named))
+        self.report.classification_checks += checks
         self._add_all_encoded(graph, additions, "classification", out, enc)
 
-        # (b) consequence direction: named class ⊑ expression.  The shared
-        # type index already reflects the (a) classifications.
-        additions = self._restriction_consequences_encoded(
-            graph, candidates, enc, type_index)
-        self._add_all_encoded(graph, additions, "restriction-consequences", out, enc)
+    def _apply_consequences_encoded(self, graph: Graph, delta: Optional[Delta],
+                                    out: List[EncodedTriple],
+                                    enc: _EncodedAxioms) -> None:
+        """The consequence direction: named class ⊑ expression.
 
-    def _classification_candidates_encoded(
-            self, graph: Graph, candidates: Iterable[int],
-            enc: _EncodedAxioms,
-            type_index: Dict[int, Set[int]]) -> List[EncodedTriple]:
-        """Named-class memberships the compiled matchers grant ``candidates``
-        (pure candidate generation over a fixed (graph, type_index) state)."""
-        empty: Set[int] = set()
-        additions: List[EncodedTriple] = []
+        A member's consequences change only when it newly joins the class
+        or gains a triple through a property the expression reads, so those
+        are the candidates (every member when ``delta`` is ``None``).
+        """
+        spo = graph._spo
         rdf_type = enc.rdf_type
-        for named, matcher in enc.equivalences:
-            for individual in candidates:
-                if named in type_index.get(individual, empty):
-                    continue
-                if matcher(graph, individual, type_index):
-                    additions.append((individual, rdf_type, named))
-        for named, matcher in enc.complex_subclasses:
-            for individual in candidates:
-                if named in type_index.get(individual, empty):
-                    continue
-                if matcher(graph, individual, type_index):
-                    additions.append((individual, rdf_type, named))
-        return additions
-
-    def _restriction_consequences_encoded(
-            self, graph: Graph, candidates: Iterable[int],
-            enc: _EncodedAxioms,
-            type_index: Dict[int, Set[int]]) -> List[EncodedTriple]:
-        """Triples the consequence emitters derive for typed ``candidates``."""
-        empty: Set[int] = set()
+        by_class = graph._pos.get(rdf_type, {})
         additions: List[EncodedTriple] = []
-        for sub, emit in enc.complex_superclasses:
-            for member in candidates:
-                if sub in type_index.get(member, empty):
-                    emit(graph, member, additions)
-        return additions
+        for sub, emit, properties in enc.complex_superclasses:
+            if delta is None:
+                members = by_class.get(sub, ())
+            else:
+                members = set(delta.typed.get(sub, ()))
+                for prop in properties:
+                    for subject in delta.by_pred.get(prop, ()):
+                        types = spo[subject].get(rdf_type)
+                        if types and sub in types:
+                            members.add(subject)
+            for member in members:
+                emit(graph, member, additions)
+        self._add_all_encoded(graph, additions, "restriction-consequences", out, enc)
 
     def _add_all_encoded(self, graph: Graph, triples: List[EncodedTriple],
                          rule: str, out: List[EncodedTriple],
@@ -842,20 +801,7 @@ class Reasoner:
             return
         same_as = enc.owl_same_as
         batch = [t for t in triples if t[1] != same_as or t[0] != t[2]]
-        start = len(out)
-        added = graph.add_encoded_many(batch, out)
-        self.report.record(rule, added)
-        type_index = self._active_type_index
-        if type_index is not None and added:
-            rdf_type = enc.rdf_type
-            kinds = enc.dictionary.kinds
-            for s, p, o in out[start:]:
-                if p == rdf_type and kinds[o] == KIND_IRI:
-                    entry = type_index.get(s)
-                    if entry is None:
-                        type_index[s] = {o}
-                    else:
-                        entry.add(o)
+        self.report.record(rule, graph.add_encoded_many(batch, out))
 
     # ------------------------------------------------------------------
     # Schema closure

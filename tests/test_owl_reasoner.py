@@ -488,3 +488,154 @@ class TestHierarchies:
     def test_property_hierarchy(self, hierarchy_graph):
         hierarchy = PropertyHierarchy(hierarchy_graph)
         assert ex("likes") in hierarchy.children(ex("hasCharacteristic"))
+
+
+class TestDeltaDirectedClassification:
+    """An extension re-tests only the individuals its delta can reclassify,
+    and the report says where the time went."""
+
+    @staticmethod
+    def profile_update_report(extra_recipes, monkeypatch):
+        """The extension report of a diet + like + allergy update of the
+        paper persona's CQ1 scenario over a generated catalog."""
+        from repro.core.engine import ExplanationEngine
+        from repro.core.questions import parse_question
+        from repro.foodkg.generator import generate_catalog
+        from repro.users.personas import persona
+
+        engine = ExplanationEngine(catalog=generate_catalog(
+            extra_recipes=extra_recipes, extra_ingredients=extra_recipes // 2))
+        builder = engine.builder
+        user, context = persona("paper")
+        scenario = builder.build(
+            parse_question("Why should I eat Cauliflower Potato Curry?"), user, context)
+        reports = []
+        extend = Reasoner.extend
+
+        def recording_extend(reasoner, closure, added):
+            result = extend(reasoner, closure, added)
+            reports.append(reasoner.report)
+            return result
+
+        monkeypatch.setattr(Reasoner, "extend", recording_extend)
+        updated = builder.update_scenario(
+            scenario, diets=("vegan",), likes=("Butternut Squash Soup",),
+            allergies=("Butter",))
+        assert len(set(updated.asserted) - set(scenario.asserted)) == 3
+        (report,) = reports
+        return report
+
+    def test_profile_update_checks_few_individuals_at_any_catalog_size(self, monkeypatch):
+        small = self.profile_update_report(100, monkeypatch)
+        monkeypatch.undo()
+        large = self.profile_update_report(400, monkeypatch)
+        assert 0 < small.classification_checks <= 50
+        assert large.classification_checks == small.classification_checks
+        assert small.rule_firings["classification"] > 0
+
+    def test_report_times_every_rule_family(self):
+        graph = Graph()
+        graph.parse(
+            "@prefix ex: <http://example.org/> .\n"
+            "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+            "ex:Owner owl:equivalentClass [ a owl:Restriction ;\n"
+            "    owl:onProperty ex:owns ; owl:someValuesFrom ex:Pet ] .\n"
+            "ex:ann ex:owns ex:rex . ex:rex a ex:Pet . ex:bob ex:owns ex:rock .\n"
+        )
+        reasoner = Reasoner(graph)
+        closed = reasoner.run()
+        assert (ex("ann"), RDF_TYPE, ex("Owner")) in closed
+        report = reasoner.report
+        assert set(report.rule_seconds) == {
+            "property", "type", "classification", "consequences"}
+        assert all(seconds >= 0.0 for seconds in report.rule_seconds.values())
+        # The first round tests all 8 nodes the naive pass would (the data
+        # individuals, and the axiom's class, restriction, property and
+        # filler); the second round's delta, ann's new type, can change no
+        # membership in ∃owns.Pet, so it tests nobody.
+        assert report.classification_checks == 8
+
+        reasoner.extend(closed, [(ex("bob"), ex("owns"), ex("tom")),
+                                 (ex("tom"), RDF_TYPE, ex("Pet"))])
+        assert (ex("bob"), RDF_TYPE, ex("Owner")) in closed
+        assert reasoner.report.classification_checks == 1
+
+
+class TestSharedRuleTables:
+    """A base closure's reasoners share one set of rule tables, built on the
+    first request rather than at construction."""
+
+    @pytest.fixture
+    def base(self):
+        from repro.owl import BaseClosure
+
+        graph = Graph()
+        graph.parse(
+            "@prefix ex: <http://example.org/> .\n"
+            "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+            "ex:Owner owl:equivalentClass [ a owl:Restriction ;\n"
+            "    owl:onProperty ex:owns ; owl:someValuesFrom ex:Pet ] .\n"
+            "ex:rex a ex:Pet .\n"
+        )
+        return BaseClosure(graph)
+
+    @staticmethod
+    def scenario(base, *triples):
+        graph = base.base.copy()
+        graph.addN(triples)
+        return graph
+
+    def test_tables_are_built_lazily_and_shared(self, base):
+        assert base._tables is None
+        first = base.reasoner(self.scenario(base, (ex("ann"), ex("owns"), ex("rex"))))
+        second = base.reasoner(self.scenario(base, (ex("bob"), ex("owns"), ex("rex"))))
+        assert first._rule_tables() is second._rule_tables() is base.tables()
+        closed = second.run()
+        assert (ex("bob"), RDF_TYPE, ex("Owner")) in closed
+        assert base.tables().encoded(closed.dictionary) is \
+            first._rule_tables().encoded(closed.dictionary)
+
+    def test_a_schema_delta_builds_tables_of_its_own(self, base):
+        shared = base.tables()
+        graph = self.scenario(base, (ex("Pet"), RDFS_SUBCLASSOF, ex("Animal")),
+                              (ex("ann"), ex("owns"), ex("rex")))
+        reasoner = base.reasoner(graph)
+        closed = reasoner.run()
+        assert (ex("rex"), RDF_TYPE, ex("Animal")) in closed
+        assert (ex("ann"), RDF_TYPE, ex("Owner")) in closed
+        assert reasoner._rule_tables() is not shared
+        assert base.tables() is shared
+        assert ex("Pet") not in shared.axioms.named_subclass_of
+
+    def test_racing_first_requests_get_correct_closures(self, base):
+        """Eight threads race to build the tables and the base closure:
+        each extension still equals a full run of its own graph."""
+        import sys
+        import threading
+
+        graphs = [self.scenario(base, (ex(f"user{n}"), ex("owns"), ex("rex")),
+                                (ex(f"pet{n}"), RDF_TYPE, ex("Pet")),
+                                (ex("ann"), ex("owns"), ex(f"pet{n}")))
+                  for n in range(8)]
+        closures = [None] * len(graphs)
+        barrier = threading.Barrier(len(graphs))
+
+        def work(n):
+            barrier.wait(timeout=30)
+            closures[n] = base.reasoner(graphs[n]).run()
+
+        threads = [threading.Thread(target=work, args=(n,), daemon=True)
+                   for n in range(len(graphs))]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        for graph, closed in zip(graphs, closures):
+            assert set(closed) == set(Reasoner(graph).run())
+        assert base._tables is not None

@@ -16,6 +16,12 @@ against ``run()`` and ``run_naive()`` for every persona × the paper's three
 competency questions and for randomized recipes, what-if conditions and
 profile deltas, and pins its fallbacks and its consistency check.
 
+Classification re-tests only the individuals a compiled trigger names for
+each round's delta.  A synthetic ontology with one axiom per class
+expression kind, over randomized data, checks every trigger: ``run()``
+against ``run_naive()``, and chained ``extend()`` calls against ``run()``
+for the monotone kinds.
+
 Together the parametrized cases exceed the 200-randomized-case acceptance
 floor; every case asserts exact set equality, so any divergence reports the
 offending triples.
@@ -493,3 +499,156 @@ def test_paper_goldens_are_byte_identical_through_base_extension(catalog, full_r
         GOLDEN_PATH.read_text(encoding="utf-8")
     assert len(full_runs) == 1
     assert full_runs[0].base_graph is engine.builder._base
+
+
+# ---------------------------------------------------------------------------
+# Every class-expression kind, on a synthetic ontology
+# ---------------------------------------------------------------------------
+
+#: One classification axiom per expression kind the reasoner compiles, plus
+#: consequence-direction axioms.  ``ex:feeds``' range and the subclass edge
+#: derive ``ex:Pet`` memberships and the consequences derive ``ex:badge``
+#: and ``ex:Kept`` triples, so triggers are exercised past the first round
+#: of a full run as well as by extensions, whose deltas also bring new
+#: individuals.
+_MONOTONE_AXIOMS = """
+ex:ownedBy owl:inverseOf ex:owns .
+ex:adopts rdfs:subPropertyOf ex:owns .
+ex:feeds rdfs:range ex:Pet .
+ex:Kitten rdfs:subClassOf ex:Pet .
+ex:RedThing owl:equivalentClass [ a owl:Restriction ;
+    owl:onProperty ex:color ; owl:hasValue ex:red ] .
+ex:Busy owl:equivalentClass [ a owl:Restriction ;
+    owl:onProperty ex:owns ; owl:minCardinality "2"^^xsd:nonNegativeInteger ] .
+ex:Anything owl:equivalentClass [ a owl:Restriction ;
+    owl:onProperty ex:owns ; owl:minCardinality "0"^^xsd:nonNegativeInteger ] .
+ex:GrandOwner owl:equivalentClass [ a owl:Restriction ; owl:onProperty ex:owns ;
+    owl:someValuesFrom [ a owl:Restriction ; owl:onProperty ex:adopts ;
+                         owl:someValuesFrom ex:Pet ] ] .
+ex:RedOwner owl:equivalentClass [ owl:intersectionOf ( ex:RedThing
+    [ a owl:Restriction ; owl:onProperty ex:owns ; owl:someValuesFrom ex:Pet ] ) ] .
+ex:Notable owl:equivalentClass [ owl:unionOf ( ex:Kitten
+    [ a owl:Restriction ; owl:onProperty ex:color ; owl:hasValue ex:gold ] ) ] .
+ex:Owner owl:equivalentClass [ a owl:Restriction ;
+    owl:onProperty ex:ownedBy ; owl:someValuesFrom owl:Thing ] .
+ex:Entity owl:equivalentClass [ owl:unionOf ( owl:Thing ex:Pet ) ] .
+ex:Founder owl:equivalentClass [ owl:oneOf ( ex:i0 ex:i1 ex:fresh0 ) ] .
+[ a owl:Restriction ; owl:onProperty ex:feeds ; owl:someValuesFrom ex:Kitten ]
+    rdfs:subClassOf ex:CatPerson .
+ex:RedThing rdfs:subClassOf [ a owl:Restriction ;
+    owl:onProperty ex:badge ; owl:hasValue ex:tag ] .
+ex:Keeper rdfs:subClassOf [ owl:intersectionOf ( ex:Carer
+    [ a owl:Restriction ; owl:onProperty ex:owns ; owl:allValuesFrom ex:Kept ] ) ] .
+"""
+
+#: Closed-world classification: sound for ``run()``, refused by ``extend()``.
+#: Every node of the ontology is an individual from the first round on (it
+#: is the object of some axiom triple), so the inverse of ``rdf:type`` is
+#: what lets a full run meet new individuals in later rounds: a class
+#: becomes one once it has a member.  Those match ``complementOf`` and
+#: ``allValuesFrom`` vacuously.
+_CLOSED_WORLD_AXIOMS = """
+ex:hasMember owl:inverseOf rdf:type .
+ex:NonPet owl:equivalentClass [ owl:complementOf ex:Pet ] .
+ex:OnlyPets owl:equivalentClass [ a owl:Restriction ;
+    owl:onProperty ex:owns ; owl:allValuesFrom ex:Pet ] .
+"""
+
+_EX = "http://example.org/"
+
+
+def _ex(name: str) -> IRI:
+    return IRI(_EX + name)
+
+
+def _expression_ontology(closed_world: bool) -> Graph:
+    graph = Graph()
+    graph.parse(
+        "@prefix ex: <http://example.org/> .\n"
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+        + _MONOTONE_AXIOMS + (_CLOSED_WORLD_AXIOMS if closed_world else ""))
+    return graph
+
+
+def _expression_data(rng: random.Random, size: int, fresh: int = 0) -> list:
+    """Random data over ten individuals (plus ``fresh`` new ones)."""
+    people = [_ex(f"i{n}") for n in range(10)] + [_ex(f"fresh{n}") for n in range(fresh)]
+    data = []
+    for _ in range(size):
+        kind = rng.randrange(4)
+        subject, value = rng.choice(people), rng.choice(people)
+        if kind == 0:
+            prop = rng.choice(("owns", "adopts", "ownedBy", "feeds"))
+            data.append((subject, _ex(prop), value))
+        elif kind == 1:
+            data.append((subject, _ex("color"), _ex(rng.choice(("red", "gold", "blue")))))
+        elif kind == 2:
+            data.append((subject, RDF_TYPE, _ex(rng.choice(("Pet", "Kitten", "Keeper")))))
+        else:
+            data.append((subject, _ex("adopts"), value))
+    return data
+
+
+def test_synthetic_ontology_covers_every_expression_kind():
+    from repro.owl.expressions import (
+        AllValuesFrom, ComplementOf, HasValue, IntersectionOf, MinCardinality,
+        NamedClass, OneOf, SomeValuesFrom, UnionOf)
+
+    axioms = AxiomIndex.from_graph(_expression_ontology(closed_world=True))
+    seen = set()
+
+    def walk(expression):
+        seen.add(type(expression))
+        if isinstance(expression, MinCardinality):
+            seen.add((MinCardinality, expression.cardinality))
+        if isinstance(expression, SomeValuesFrom):
+            if isinstance(expression.filler, SomeValuesFrom):
+                seen.add("two hops")
+            if expression.filler == NamedClass(IRI("http://www.w3.org/2002/07/owl#Thing")):
+                seen.add("owl:Thing filler")
+        for child in (getattr(expression, "filler", None), getattr(expression, "operand", None),
+                      *getattr(expression, "operands", ())):
+            if child is not None:
+                walk(child)
+
+    for axiom in axioms.equivalences:
+        walk(axiom.expression)
+    for expression, _ in axioms.complex_subclasses:
+        walk(expression)
+    assert seen >= {HasValue, (MinCardinality, 2), (MinCardinality, 0), SomeValuesFrom,
+                    "two hops", "owl:Thing filler", IntersectionOf, UnionOf, OneOf,
+                    ComplementOf, AllValuesFrom}
+    assert len(axioms.complex_subclasses) == 1
+    assert len(axioms.complex_superclasses) > len(axioms.equivalences)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_every_expression_kind_run_equals_naive(seed):
+    rng = random.Random(11000 + seed)
+    graph = _expression_ontology(closed_world=True)
+    graph.addN(_expression_data(rng, rng.randint(4, 18)))
+    naive = Reasoner(graph, check_consistency=False).run_naive()
+    semi = Reasoner(graph, check_consistency=False).run()
+    assert_same_closure(naive, semi, f"expression kinds seed={seed}")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_every_monotone_expression_kind_extend_equals_run(seed):
+    rng = random.Random(12000 + seed)
+    base = _expression_ontology(closed_world=False)
+    base.addN(_expression_data(rng, rng.randint(4, 14)))
+    reasoner = Reasoner(base, check_consistency=False)
+    assert reasoner.supports_incremental_extension
+    closure = reasoner.run()
+    for step in range(3):
+        delta = _expression_data(rng, rng.randint(1, 4), fresh=2)
+        updated = base.copy()
+        updated.addN(delta)
+        Reasoner(updated, axioms=reasoner.axioms, check_consistency=False).extend(
+            closure, delta)
+        full = Reasoner(updated, check_consistency=False).run()
+        assert_same_closure(full, closure, f"expression kinds seed={seed} step={step}")
+        base = updated

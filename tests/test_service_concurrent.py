@@ -779,7 +779,15 @@ class TestSingleFlight:
                 except Exception as exc:  # pragma: no cover - surfaced below
                     errors.append(exc)
 
-            _run_threads([lambda sid=sid: client(sid) for sid in session_ids])
+            # A miss that extends an already-built base closure takes a few
+            # ms, less than one default GIL switch interval: interleave the
+            # racing first touches so the others find the build in flight.
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)
+            try:
+                _run_threads([lambda sid=sid: client(sid) for sid in session_ids])
+            finally:
+                sys.setswitchinterval(switch)
             assert not errors, f"dog-pile clients failed: {errors[:3]}"
             stats = sharded.shards[0].service.engine.builder.closure_cache.stats()
             assert stats["misses"] == 1, \
