@@ -58,7 +58,7 @@ from conftest import BENCH_SCALE, build_kg, perf_gate, record_bench, scaled
 from repro.core.engine import ExplanationEngine
 from repro.core.questions import parse_question
 from repro.core.scenario import ScenarioBuilder
-from repro.owl import MaterializationCache
+from repro.owl import MaterializationCache, Reasoner
 from repro.service import ExplanationService, ShardedExplanationService
 from repro.storage import ClosureEntry, save_snapshot
 from repro.users.personas import paper_context, paper_user
@@ -139,7 +139,16 @@ def bench_engine():
     return ExplanationEngine(builder=ScenarioBuilder(catalog, base_graph=graph))
 
 
-def test_sharded_fleet_is_3x_serial_capacity_under_mixed_traffic(bench_engine, tmp_path):
+_extend = Reasoner.extend
+
+
+def _slow_extend(reasoner, closure, added_triples):
+    time.sleep(0.02)
+    return _extend(reasoner, closure, added_triples)
+
+
+def test_sharded_fleet_is_3x_serial_capacity_under_mixed_traffic(bench_engine, tmp_path,
+                                                               monkeypatch):
     engine = bench_engine
     tenants = _tenants(TENANTS)
     context = paper_context()
@@ -280,10 +289,16 @@ def test_sharded_fleet_is_3x_serial_capacity_under_mixed_traffic(bench_engine, t
         herd_threads = [threading.Thread(target=herd_client, args=(sid,),
                                          daemon=True)
                         for sid in session_ids]
-        for thread in herd_threads:
-            thread.start()
-        for thread in herd_threads:
-            thread.join()
+        # A miss extends the shared base closure in ~3 ms, often less than
+        # the gap between two herd clients' first touches: stretch each
+        # build by a GIL-releasing sleep so the herd provably piles up on
+        # it, as it did when a miss was a full reasoning pass.
+        with monkeypatch.context() as patch:
+            patch.setattr(Reasoner, "extend", _slow_extend)
+            for thread in herd_threads:
+                thread.start()
+            for thread in herd_threads:
+                thread.join()
         assert not herd_errors, f"herd clients failed: {herd_errors[:3]}"
         assert len(herd_prints) == HERD_CLIENTS
         assert len(set(herd_prints)) == 1, \

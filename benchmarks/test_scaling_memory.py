@@ -9,7 +9,15 @@ way parsers and the FoodKG loader do: the baseline retains every copy, the
 encoded store interns one canonical term per distinct value and keeps
 compact ``(int, int, int)`` tuples.
 
-The measurement lands in ``BENCH_memory.json`` (CI uploads it as an
+**Closure copies** — every answer after a profile update is served from
+a :meth:`~repro.rdf.graph.Graph.copy` of a cached closure, so what a copy
+and a cached scenario allocate is gated in bytes (tracemalloc), never in
+time: a copy of the CQ1 closure at e2ebench's knowledge-graph scale must
+allocate at most 0.3 MB, and each of 32 cached CQ1 scenarios at most
+1.6 MB.  The SPO index is a graph's only copy of its triples, so a COW
+copy duplicates the outer index dicts only (O(distinct nodes)).
+
+The measurements land in ``BENCH_memory.json`` (CI uploads it as an
 artifact next to ``BENCH_sparql.json``).  Closure speed is gated against
 the naive oracle in ``test_scaling_reasoner.py``.
 """
@@ -20,9 +28,14 @@ import gc
 import tracemalloc
 from typing import Dict, Set, Tuple
 
+import pytest
 from conftest import record_bench, scaled
 
+from repro.core.engine import ExplanationEngine
+from repro.core.questions import parse_question
+from repro.foodkg.generator import generate_catalog
 from repro.rdf.graph import Graph
+from repro.users.personas import persona
 from repro.rdf.terms import IRI, Literal
 
 _FOOD = "http://purl.org/heals/food/"
@@ -139,3 +152,64 @@ def test_encoded_store_peak_memory_is_30pct_smaller():
     assert reduction >= 0.30, (
         f"encoded storage must cut peak memory by >=30%, got {reduction:.0%}"
     )
+
+
+@pytest.fixture(scope="module")
+def served_engine():
+    """An engine over e2ebench's knowledge graph (``KG_CONFIG``), unscaled,
+    with the paper persona's CQ1 scenario built — so the shared base
+    closure exists before anything is measured, as after a fleet's first
+    miss."""
+    engine = ExplanationEngine(
+        catalog=generate_catalog(extra_recipes=100, extra_ingredients=50))
+    user, context = persona("paper")
+    scenario = engine.builder.build(
+        parse_question("Why should I eat Cauliflower Potato Curry?"), user, context)
+    return engine, scenario
+
+
+def _traced_retained(fn):
+    """(retained_bytes, result): what ``fn``'s result keeps alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained, result
+
+
+def test_closure_copy_allocates_at_most_0_3mb(served_engine):
+    """A COW copy of the CQ1 closure (18k triples) allocates <= 0.3 MB."""
+    _, scenario = served_engine
+    closure = scenario.inferred
+    retained, copy = _traced_retained(closure.copy)
+    assert copy == closure
+    print(f"\nclosure copy: {retained / 1e6:.3f} MB for {len(closure)} triples")
+    record_bench("BENCH_memory.json", "closure_copy", {
+        "triples": len(closure), "copy_bytes": retained})
+    assert retained <= 0.3e6, (
+        f"a copy of the CQ1 closure must allocate <= 0.3 MB, got "
+        f"{retained / 1e6:.3f} MB")
+
+
+def test_cached_cq1_scenario_costs_at_most_1_6mb(served_engine):
+    """Each of 32 distinct cached CQ1 scenarios costs <= 1.6 MB."""
+    engine, _ = served_engine
+    builder = engine.builder
+    user, context = persona("paper")
+    questions = [parse_question(f"Why should I eat {recipe}?")
+                 for recipe in sorted(builder.catalog.recipes)[:32]]
+    retained, scenarios = _traced_retained(
+        lambda: [builder.build(question, user, context) for question in questions])
+    assert len({id(s.inferred) for s in scenarios}) == 32
+    per_scenario = retained / len(scenarios)
+    print(f"\ncached CQ1 scenarios: {per_scenario / 1e6:.3f} MB each "
+          f"over {len(scenarios)}")
+    record_bench("BENCH_memory.json", "cached_cq1_scenario", {
+        "scenarios": len(scenarios), "bytes_per_scenario": round(per_scenario)})
+    assert per_scenario <= 1.6e6, (
+        f"a cached CQ1 scenario must cost <= 1.6 MB, got "
+        f"{per_scenario / 1e6:.3f} MB")

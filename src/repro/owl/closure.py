@@ -112,11 +112,34 @@ class BaseClosure:
 
     def delta(self, graph: Graph) -> Optional[List[Triple]]:
         """``graph``'s triples beyond the base, or ``None`` when ``graph``
-        is not a same-dictionary superset of it."""
+        is not a same-dictionary superset of it.
+
+        Walks ``graph``'s SPO index but skips every subject entry and leaf
+        set that *is* the base's own object: a COW copy of the frozen base
+        shares those until it writes to them, so they hold base triples
+        only.  ``graph`` is a superset exactly when all but the extra
+        triples found are base triples — ``len(base)`` of them.
+        """
         base = self.base
         if graph.dictionary is not base.dictionary:
             return None
-        extra = graph._triples - base._triples
+        base_spo = base._spo
+        extra = []
+        for s, by_pred in graph._spo.items():
+            base_by_pred = base_spo.get(s)
+            if by_pred is base_by_pred:
+                continue
+            if base_by_pred is None:
+                extra.extend((s, p, o) for p, objects in by_pred.items() for o in objects)
+                continue
+            for p, objects in by_pred.items():
+                base_objects = base_by_pred.get(p)
+                if objects is base_objects:
+                    continue
+                if base_objects is None:
+                    extra.extend((s, p, o) for o in objects)
+                else:
+                    extra.extend((s, p, o) for o in objects if o not in base_objects)
         if len(graph) - len(extra) != len(base):
             return None
         return [graph.decode_triple(triple) for triple in extra]

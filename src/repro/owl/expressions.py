@@ -331,6 +331,28 @@ def compile_matcher(expression: ClassExpression, dictionary: TermDictionary):
         return named_matcher
     if isinstance(expression, SomeValuesFrom):
         prop_id = intern(expression.property)
+        named = expression.filler
+        if isinstance(named, NamedClass) and named.iri != OWL_THING:
+            # A hub individual can have thousands of ``p``-values: intersect
+            # them with the filler's members (rdf:type's POS leaf) in C,
+            # over the smaller set, instead of testing each value in turn.
+            cls_id = intern(named.iri)
+            type_id = intern(RDF_TYPE)
+
+            def some_named_matcher(graph, individual, _p=prop_id, _cls=cls_id,
+                                   _t=type_id):
+                by_pred = graph._spo.get(individual)
+                if not by_pred:
+                    return False
+                values = by_pred.get(_p)
+                if not values:
+                    return False
+                by_class = graph._pos.get(_t)
+                if not by_class:
+                    return False
+                members = by_class.get(_cls)
+                return members is not None and not values.isdisjoint(members)
+            return some_named_matcher
         filler = compile_matcher(expression.filler, dictionary)
 
         def some_matcher(graph, individual, _p=prop_id, _f=filler):
@@ -363,7 +385,8 @@ def compile_matcher(expression: ClassExpression, dictionary: TermDictionary):
         value_id = intern(expression.value)
 
         def has_value_matcher(graph, individual, _p=prop_id, _v=value_id):
-            return (individual, _p, _v) in graph._triples
+            by_pred = graph._spo.get(individual)
+            return by_pred is not None and _v in by_pred.get(_p, ())
         return has_value_matcher
     if isinstance(expression, MinCardinality):
         prop_id = intern(expression.property)

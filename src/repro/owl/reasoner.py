@@ -344,7 +344,7 @@ class Reasoner:
 
         self._materialise_schema(working)
         self.report.iterations = self._fixpoint_encoded(
-            working, list(working._triples), initial=True)
+            working, list(working.triples_ids()), initial=True)
         self.report.inferred_triples = len(working) - self.report.input_triples
         self.report.elapsed_seconds = time.perf_counter() - start
 
@@ -410,7 +410,7 @@ class Reasoner:
                         )
                     self._materialise_schema(closure)
                     self.report.iterations = self._fixpoint_encoded(
-                        closure, list(closure._triples), initial=True)
+                        closure, list(closure.triples_ids()), initial=True)
                 else:
                     fresh_ids = [closure.encode_triple(triple) for triple in fresh]
                     self.report.iterations = self._fixpoint_encoded(closure, fresh_ids)
@@ -692,12 +692,13 @@ class Reasoner:
         kinds = enc.dictionary.kinds
         rdf_type = enc.rdf_type
         schema_only = enc.schema_only_preds
-        for s, p, o in graph._triples:
-            if p in schema_only:
-                continue
-            individuals.add(s)
-            if p != rdf_type and kinds[o] != KIND_LITERAL:
-                individuals.add(o)
+        for s, by_pred in graph._spo.items():
+            for p, objects in by_pred.items():
+                if p in schema_only:
+                    continue
+                individuals.add(s)
+                if p != rdf_type:
+                    individuals.update(o for o in objects if kinds[o] != KIND_LITERAL)
         return individuals
 
     @staticmethod

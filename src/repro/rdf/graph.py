@@ -1,21 +1,24 @@
 """An indexed, in-memory, dictionary-encoded RDF graph.
 
 The :class:`Graph` is the project's storage engine.  Internally every
-triple is a compact ``(int, int, int)`` tuple of term IDs assigned by a
-shared :class:`~repro.rdf.dictionary.TermDictionary`; the SPO/POS/OSP
-permutation indexes, the per-predicate cardinality counters, the change
-journals and the O(1) content fingerprint all operate on those integer
-tuples.  The public API stays term-level — :meth:`add` encodes at the
-boundary and :meth:`triples` decodes on the way out — so callers keep
-seeing :class:`~repro.rdf.terms.Term` objects, while the OWL reasoner and
-the SPARQL planner ride the encoded fast path (:meth:`triples_ids`,
-:meth:`add_encoded`, the raw index attributes) and only decode for
-presentation.
+term is an integer ID assigned by a shared
+:class:`~repro.rdf.dictionary.TermDictionary`.  The SPO/POS/OSP
+permutation indexes are keyed by those IDs, and the SPO index is the
+graph's only record of its triples.  The size counter, the
+per-predicate cardinality counters, the change journals and the O(1)
+content fingerprint are maintained on the ``(int, int, int)`` ID tuples
+as triples go in and out.  The public API stays term-level —
+:meth:`add` encodes at the boundary and :meth:`triples` decodes on the
+way out — so callers keep seeing :class:`~repro.rdf.terms.Term`
+objects, while the OWL reasoner and the SPARQL planner ride the
+encoded fast path (:meth:`triples_ids`, :meth:`add_encoded`, the raw
+index attributes) and only decode for presentation.
 
 One dictionary serves a whole graph family: :meth:`copy` shares it with
 the clone, so scenario copies and cached closures reuse the base graph's
 interned terms and encoded triples flow between family members without
-re-encoding.
+re-encoding.  A copy shares every index entry copy-on-write, so it costs
+only the three outer index dicts (O(distinct nodes)), not O(triples).
 
 Mutations can be observed through a :class:`ChangeJournal`
 (:meth:`Graph.start_journal`): callers capture "what was added since the
@@ -25,7 +28,7 @@ closure was built" and hand that delta to the incremental reasoning path
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from .dictionary import TermDictionary
 from .namespace import RDF, NamespaceManager
@@ -132,12 +135,19 @@ class ChangeJournal:
 #: from ``None`` (entry dict shared) in :meth:`Graph._index_add`.
 _COW_PRIVATE: object = object()
 
+#: The index entry of an absent key, shared by every bound-triple lookup
+#: (``_spo.get(s, _EMPTY).get(p, ())``) so a miss allocates nothing.
+#: Never written.
+_EMPTY: Dict[int, Set[int]] = {}
+
 
 class Graph:
     """A set of RDF triples with SPO/POS/OSP indexes and namespace bindings.
 
-    Storage is dictionary-encoded: ``_triples`` holds ``(int, int, int)``
-    ID tuples and the three permutation indexes are keyed by IDs.  The
+    Storage is dictionary-encoded: the three permutation indexes are
+    keyed by term IDs, and the SPO index (``_spo[s][p] = {o, ...}``) is
+    the only copy of each triple — membership tests descend it, full
+    scans walk it, and a ``_size`` counter gives :func:`len`.  The
     encoded surface (``triples_ids`` / ``add_encoded`` / ``_spo`` /
     ``_pos`` / ``_osp`` and :attr:`dictionary`) is read by the reasoner
     and the query planner; everything else goes through the term-level
@@ -148,7 +158,7 @@ class Graph:
         self.identifier = identifier or IRI(f"urn:graph:{id(self)}")
         self.namespace_manager = NamespaceManager(bind_defaults=bind_defaults)
         self._dict = TermDictionary()
-        self._triples: Set[EncodedTriple] = set()
+        self._size = 0
         self._spo: Dict[int, Dict[int, Set[int]]] = {}
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
         self._osp: Dict[int, Dict[int, Set[int]]] = {}
@@ -215,10 +225,10 @@ class Graph:
         """
         if self._frozen:
             self._refuse()
-        if triple in self._triples:
-            return False
         s, p, o = triple
-        self._triples.add(triple)
+        if o in self._spo.get(s, _EMPTY).get(p, ()):
+            return False
+        self._size += 1
         hashes = self._dict.hashes
         self._content_hash ^= hash((hashes[s], hashes[p], hashes[o]))
         self._pred_counts[p] = self._pred_counts.get(p, 0) + 1
@@ -281,8 +291,8 @@ class Graph:
         """
         if self._frozen:
             self._refuse()
-        triples = self._triples
         spo, pos, osp = self._spo, self._pos, self._osp
+        spo_get = spo.get
         spo_cow, pos_cow, osp_cow = self._spo_cow, self._pos_cow, self._osp_cow
         index_add = self._index_add
         pred_counts = self._pred_counts
@@ -291,30 +301,34 @@ class Graph:
         content_hash = self._content_hash
         added = 0
         append = out.append if out is not None else None
-        for triple in batch:
-            if triple in triples:
-                continue
-            s, p, o = triple
-            triples.add(triple)
-            content_hash ^= hash((hashes[s], hashes[p], hashes[o]))
-            pred_counts[p] = pred_counts.get(p, 0) + 1
-            index_add(spo, spo_cow, s, p, o)
-            index_add(pos, pos_cow, p, o, s)
-            index_add(osp, osp_cow, o, s, p)
-            if journals:
-                for journal in journals:
-                    journal._record_add(triple)
-            if append is not None:
-                append(triple)
-            added += 1
-        self._content_hash = content_hash
+        try:
+            for triple in batch:
+                s, p, o = triple
+                if o in spo_get(s, _EMPTY).get(p, ()):
+                    continue
+                content_hash ^= hash((hashes[s], hashes[p], hashes[o]))
+                pred_counts[p] = pred_counts.get(p, 0) + 1
+                index_add(spo, spo_cow, s, p, o)
+                index_add(pos, pos_cow, p, o, s)
+                index_add(osp, osp_cow, o, s, p)
+                if journals:
+                    for journal in journals:
+                        journal._record_add(triple)
+                if append is not None:
+                    append(triple)
+                added += 1
+        finally:
+            # A batch that raises part-way (an invalid term in addN's
+            # generator) keeps the counters in step with what went in.
+            self._content_hash = content_hash
+            self._size += added
         return added
 
     def triples_ids(self, pattern: EncodedPattern = (None, None, None)) -> Iterator[EncodedTriple]:
         """Yield encoded triples matching an encoded pattern (``None`` = wildcard)."""
         s, p, o = pattern
         if s is not None and p is not None and o is not None:
-            if (s, p, o) in self._triples:
+            if o in self._spo.get(s, _EMPTY).get(p, ()):
                 yield (s, p, o)
             return
         if s is not None:
@@ -351,7 +365,10 @@ class Graph:
                 for pred in preds:
                     yield (subj, pred, o)
             return
-        yield from self._triples
+        for subj, by_pred in self._spo.items():
+            for pred, objects in by_pred.items():
+                for obj in objects:
+                    yield (subj, pred, obj)
 
     def _encode_pattern(self, pattern: TriplePattern) -> Optional[EncodedPattern]:
         """Encode a term pattern; ``None`` if a bound term is unknown
@@ -414,7 +431,7 @@ class Graph:
         graph before the first term is interned.
         """
         if isinstance(triples, Graph) and triples._dict is self._dict:
-            self.add_encoded_many(triples._triples)
+            self.add_encoded_many(triples.triples_ids())
             return self
         intern = self._dict.intern
         self.add_encoded_many(
@@ -439,10 +456,10 @@ class Graph:
     def _discard(self, triple: EncodedTriple) -> None:
         if self._frozen:
             self._refuse()
-        if triple not in self._triples:
-            return
         s, p, o = triple
-        self._triples.discard(triple)
+        if o not in self._spo.get(s, _EMPTY).get(p, ()):
+            return
+        self._size -= 1
         hashes = self._dict.hashes
         self._content_hash ^= hash((hashes[s], hashes[p], hashes[o]))
         remaining = self._pred_counts.get(p, 0) - 1
@@ -498,10 +515,10 @@ class Graph:
         if self._frozen:
             self._refuse()
         if self._journals:
-            for triple in self._triples:
+            for triple in self.triples_ids():
                 for journal in self._journals:
                     journal._record_remove(triple)
-        self._triples.clear()
+        self._size = 0
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
@@ -535,7 +552,7 @@ class Graph:
         for invalidation.  Fingerprints are not stable across processes
         (Python string hashing is salted).
         """
-        return (len(self._triples), self._content_hash)
+        return (self._size, self._content_hash)
 
     # ------------------------------------------------------------------
     # Matching
@@ -563,9 +580,9 @@ class Graph:
             return 0
         s, p, o = encoded
         if s is None and p is None and o is None:
-            return len(self._triples)
+            return self._size
         if s is not None and p is not None and o is not None:
-            return 1 if (s, p, o) in self._triples else 0
+            return 1 if o in self._spo.get(s, _EMPTY).get(p, ()) else 0
         if s is not None:
             by_pred = self._spo.get(s)
             if not by_pred:
@@ -593,7 +610,7 @@ class Graph:
         variable shrinks a pattern's result.
         """
         return {
-            "triples": len(self._triples),
+            "triples": self._size,
             "subjects": len(self._spo),
             "predicates": len(self._pos),
             "objects": len(self._osp),
@@ -612,7 +629,7 @@ class Graph:
     def store_stats(self) -> Dict[str, int]:
         """Storage-engine counters: dictionary interning plus triple count."""
         stats = self._dict.stats()
-        stats["encoded_triples"] = len(self._triples)
+        stats["encoded_triples"] = self._size
         return stats
 
     def __contains__(self, pattern: TriplePattern) -> bool:
@@ -623,10 +640,10 @@ class Graph:
 
     def __iter__(self) -> Iterator[Triple]:
         terms = self._dict.terms
-        return ((terms[s], terms[p], terms[o]) for s, p, o in self._triples)
+        return ((terms[s], terms[p], terms[o]) for s, p, o in self.triples_ids())
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __bool__(self) -> bool:
         return True
@@ -728,18 +745,18 @@ class Graph:
         is append-only, so sharing is safe) and the permutation indexes
         are copied **copy-on-write**: only the outer dictionaries are
         duplicated here, the per-key entries stay shared until one side
-        mutates them (see :meth:`_index_add`).  The triple set and the
-        predicate counters are still copied eagerly, so a copy costs one
-        flat set copy plus O(index keys) — the expensive part of the old
-        structural copy, the per-entry nested dict/set duplication, is
-        deferred to the entries a mutation actually touches.  Journals
-        are not carried over to the clone, and the clone of a frozen graph
-        is mutable.
+        mutates them (see :meth:`_index_add`).  The SPO index is the only
+        record of the triples, so a copy costs the three outer index
+        dicts, their COW marks and the predicate counters — O(distinct
+        nodes), not O(triples).  The
+        per-entry nested dict/set duplication is deferred to the entries a
+        mutation actually touches.  Journals are not carried over to the
+        clone, and the clone of a frozen graph is mutable.
         """
         clone = Graph(identifier=self.identifier)
         clone.namespace_manager = self.namespace_manager.copy()
         clone._dict = self._dict
-        clone._triples = set(self._triples)
+        clone._size = self._size
         clone._content_hash = self._content_hash
         clone._spo = dict(self._spo)
         clone._pos = dict(self._pos)
@@ -761,30 +778,31 @@ class Graph:
         clone._pred_counts = dict(self._pred_counts)
         return clone
 
-    def _encoded_view_of(self, other: "Graph") -> Set[EncodedTriple]:
-        """``other``'s triples in *this* graph's ID space.
+    def _membership_of(self, other: "Graph") -> Callable[[EncodedTriple], bool]:
+        """A test "does ``other`` hold this triple?" for triples in *this*
+        graph's ID space.
 
-        Free for same-family graphs; cross-family triples are translated
-        through the term dictionary (terms unknown to this family cannot
-        be held by this graph, so they are simply absent from the view).
+        Same-family graphs share IDs, so the test is a descent of
+        ``other``'s SPO index; cross-family triples are first translated
+        through ``other``'s dictionary (a term unknown to it cannot be in
+        ``other``).
         """
+        spo_get = other._spo.get
         if other._dict is self._dict:
-            return other._triples
-        lookup = self._dict.ids.get
-        view: Set[EncodedTriple] = set()
-        terms = other._dict.terms
-        for s, p, o in other._triples:
-            es = lookup(terms[s])
-            if es is None:
-                continue
-            ep = lookup(terms[p])
-            if ep is None:
-                continue
-            eo = lookup(terms[o])
-            if eo is None:
-                continue
-            view.add((es, ep, eo))
-        return view
+            return lambda triple: triple[2] in spo_get(triple[0], _EMPTY).get(triple[1], ())
+        lookup = other._dict.ids.get
+        terms = self._dict.terms
+
+        def holds(triple: EncodedTriple) -> bool:
+            s = lookup(terms[triple[0]])
+            if s is None:
+                return False
+            p = lookup(terms[triple[1]])
+            if p is None:
+                return False
+            o = lookup(terms[triple[2]])
+            return o is not None and o in spo_get(s, _EMPTY).get(p, ())
+        return holds
 
     def __add__(self, other: "Graph") -> "Graph":
         result = self.copy()
@@ -800,8 +818,8 @@ class Graph:
         result.namespace_manager = self.namespace_manager.copy()
         result._dict = self._dict
         if isinstance(other, Graph):
-            other_ids = self._encoded_view_of(other)
-            result.add_encoded_many(t for t in self._triples if t not in other_ids)
+            holds = self._membership_of(other)
+            result.add_encoded_many(t for t in self.triples_ids() if not holds(t))
         else:
             other_set = set(other)
             result.addN(t for t in self if t not in other_set)
@@ -812,8 +830,8 @@ class Graph:
         result.namespace_manager = self.namespace_manager.copy()
         result._dict = self._dict
         if isinstance(other, Graph):
-            other_ids = self._encoded_view_of(other)
-            result.add_encoded_many(t for t in self._triples if t in other_ids)
+            holds = self._membership_of(other)
+            result.add_encoded_many(t for t in self.triples_ids() if holds(t))
         else:
             other_set = set(other)
             result.addN(t for t in self if t in other_set)
@@ -821,11 +839,16 @@ class Graph:
 
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, Graph):
-            if other._dict is self._dict:
-                return self._triples == other._triples
-            if len(self._triples) != len(other._triples):
+            if self._size != other._size:
                 return False
-            return self._triples == self._encoded_view_of(other)
+            if other._dict is self._dict:
+                # Entries are pruned when they empty, so equal triple sets
+                # have equal SPO dicts; COW-shared entries compare by
+                # identity without being walked.
+                return self._spo == other._spo
+            # Equal sizes, and every triple of this graph is in the other.
+            holds = self._membership_of(other)
+            return all(map(holds, self.triples_ids()))
         return NotImplemented
 
     def __hash__(self) -> int:  # identity hash: graphs are mutable containers
@@ -895,10 +918,7 @@ class Graph:
     # ------------------------------------------------------------------
     def all_nodes(self) -> Set[Node]:
         """Every subject and object appearing in the graph."""
-        ids: Set[int] = set()
-        for s, _, o in self._triples:
-            ids.add(s)
-            ids.add(o)
+        ids = self._spo.keys() | self._osp.keys()
         terms = self._dict.terms
         return {terms[i] for i in ids}
 

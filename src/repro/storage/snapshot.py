@@ -290,7 +290,7 @@ def save_snapshot(path: Union[str, "object"], graph: Graph,
 
     dictionary = graph._dict
     term_count = len(dictionary.terms)
-    triple_count = len(graph._triples)
+    triple_count = len(graph)
     if term_count > _U32_MAX or triple_count > _U32_MAX:
         raise SnapshotError("graph family exceeds the u32 snapshot encoding")
 
@@ -306,7 +306,8 @@ def save_snapshot(path: Union[str, "object"], graph: Graph,
     for term in dictionary.terms:
         _pack_term(out, term)
     # 3. The base triple set.
-    _pack_triples(out, graph._triples)
+    base_triples = set(graph.triples_ids())
+    _pack_triples(out, base_triples)
     # 4. Index metadata: the rebuild must reproduce these exactly.
     index_stats = graph.index_stats()
     out.append(struct.pack("<III", index_stats["subjects"],
@@ -320,7 +321,6 @@ def save_snapshot(path: Union[str, "object"], graph: Graph,
     #    diff against whichever reference is smaller — the base, or the
     #    previous entry's closure, which shares the whole materialised
     #    common core (_CLOSURE_REF_* byte records the choice).
-    base_triples = graph._triples
     prev_closure: Optional[Set[EncodedTriple]] = None
     for entry in closure_list:
         if entry.label is None:
@@ -328,9 +328,10 @@ def save_snapshot(path: Union[str, "object"], graph: Graph,
         else:
             out.append(b"\x01")
             _pack_str(out, entry.label)
-        _pack_triples(out, entry.asserted._triples - base_triples)
-        _pack_triples(out, base_triples - entry.asserted._triples)
-        closure_triples = entry.closure._triples
+        asserted_triples = set(entry.asserted.triples_ids())
+        _pack_triples(out, asserted_triples - base_triples)
+        _pack_triples(out, base_triples - asserted_triples)
+        closure_triples = set(entry.closure.triples_ids())
         base_added = closure_triples - base_triples
         base_removed = base_triples - closure_triples
         if prev_closure is not None:
@@ -561,7 +562,6 @@ def _bulk_insert(graph: Graph, triples: List[EncodedTriple],
     per-predicate counters run as C-level passes over the flat ID array;
     one Python loop builds the three permutation indexes.
     """
-    graph._triples.update(triples)
     hashes = graph._dict.hashes
     hash_it = iter(map(hashes.__getitem__, flat))
     graph._content_hash = reduce(
@@ -596,6 +596,9 @@ def _bulk_insert(graph: Graph, triples: List[EncodedTriple],
                 entry[s] = {p}
             else:
                 leaves.add(p)
+    # The leaf sets dedup, so the size is what they hold, not len(triples).
+    graph._size = sum(len(objects) for by_pred in spo.values()
+                      for objects in by_pred.values())
 
 
 def _apply_delta(base: Graph, added: List[EncodedTriple],
@@ -687,7 +690,7 @@ def _decode_payload(reader: _Reader, term_count: int, triple_count: int,
             f"{triple_count}"
         )
     _bulk_insert(graph, triples, flat)
-    # The set insert dedups, so a length mismatch means duplicates.
+    # The index insert dedups, so a length mismatch means duplicates.
     if len(graph) != triple_count:
         raise SnapshotError("snapshot triple set contains duplicates")
     # 4. Index metadata must match the rebuild exactly.

@@ -173,3 +173,44 @@ class TestMembership:
         expression = OneOf(frozenset({ex("red"), ex("green")}))
         assert expression.matches(Graph(), ex("red"), {})
         assert not expression.matches(Graph(), ex("blue"), {})
+
+
+class TestCompiledSomeValuesFrom:
+    """The compiled ∃p.C matcher intersects a hub's p-values with C's
+    members instead of testing each value; it must agree with
+    :meth:`ClassExpression.matches` on every shape of filler."""
+
+    @staticmethod
+    def hub(typed):
+        graph = Graph()
+        graph.addN((ex("hub"), ex("knows"), ex(f"v{n}")) for n in range(1000))
+        graph.add((ex("hub"), ex("knows"), Literal("a literal value")))
+        graph.add((ex("other"), RDF_TYPE, ex("Person")))  # a member, not a value
+        if typed:
+            graph.add((ex("v617"), RDF_TYPE, ex("Person")))
+        return graph
+
+    @staticmethod
+    def compiled_matches(expression, graph, individual):
+        from repro.owl.expressions import compile_matcher
+
+        matcher = compile_matcher(expression, graph.dictionary)
+        return matcher(graph, graph.dictionary.intern(individual))
+
+    @pytest.mark.parametrize("typed", [True, False])
+    @pytest.mark.parametrize("filler", [
+        NamedClass(ex("Person")),
+        NamedClass(ex("NeverDeclared")),
+        NamedClass(OWL_THING),
+        UnionOf((NamedClass(ex("Robot")), NamedClass(ex("Person")))),
+    ], ids=["named", "undeclared", "thing", "union"])
+    def test_hub_with_1000_values(self, typed, filler):
+        graph = self.hub(typed)
+        expression = SomeValuesFrom(ex("knows"), filler)
+        expected = expression.matches(graph, ex("hub"), type_index(graph))
+        assert self.compiled_matches(expression, graph, ex("hub")) == expected
+        if filler == NamedClass(ex("Person")):
+            assert expected == typed
+        # No p-values at all: never a member, whatever the filler.
+        assert not self.compiled_matches(expression, graph, ex("v617"))
+        assert not self.compiled_matches(expression, graph, ex("stranger"))

@@ -639,3 +639,61 @@ class TestSharedRuleTables:
         for graph, closed in zip(graphs, closures):
             assert set(closed) == set(Reasoner(graph).run())
         assert base._tables is not None
+
+
+class TestBaseClosureDelta:
+    """``BaseClosure.delta`` walks the graph's SPO index, skipping the
+    entries a COW copy still shares with the frozen base; it must find
+    the same extra triples whether or not anything is shared, and refuse
+    every graph that is not a superset of the base."""
+
+    EXTRA = [(ex("ann"), ex("owns"), ex("tom")),      # existing subject and predicate
+             (ex("ann"), ex("likes"), ex("rex")),     # existing subject, new predicate
+             (ex("tom"), RDF_TYPE, ex("Pet"))]        # new subject
+
+    @pytest.fixture
+    def base(self):
+        from repro.owl import BaseClosure
+
+        graph = Graph()
+        graph.parse(
+            "@prefix ex: <http://example.org/> .\n"
+            "ex:Pet a <http://www.w3.org/2002/07/owl#Class> .\n"
+            "ex:ann ex:owns ex:rex ; ex:name \"Ann\" . ex:rex a ex:Pet .\n"
+            "ex:bob ex:owns ex:rex .\n"
+        )
+        return BaseClosure(graph)
+
+    def test_the_base_itself_has_an_empty_delta(self, base):
+        assert base.delta(base.base) == []
+
+    def test_superset_built_by_copy(self, base):
+        graph = base.base.copy()
+        graph.addN(self.EXTRA)
+        assert set(base.delta(graph)) == set(self.EXTRA)
+        # bob's entry is still the base's own object: skipped, not walked.
+        bob = graph.dictionary.lookup(ex("bob"))
+        assert graph._spo[bob] is base.base._spo[bob]
+
+    def test_superset_built_fresh_shares_nothing(self, base):
+        graph = base.base - Graph()  # a same-family graph with fresh entries
+        graph.addN(self.EXTRA)
+        assert not any(entry is base.base._spo.get(s) for s, entry in graph._spo.items())
+        assert set(base.delta(graph)) == set(self.EXTRA)
+
+    @pytest.mark.parametrize("build", ["copy", "fresh"])
+    def test_same_size_non_superset_is_refused(self, base, build):
+        graph = base.base.copy() if build == "copy" else base.base - Graph()
+        graph.remove((ex("bob"), ex("owns"), ex("rex")))
+        graph.add((ex("bob"), ex("owns"), ex("tom")))
+        assert len(graph) == len(base.base)
+        assert base.delta(graph) is None
+
+    def test_a_subset_or_another_family_is_refused(self, base):
+        smaller = base.base.copy()
+        smaller.remove((ex("ann"), ex("name"), None))
+        assert base.delta(smaller) is None
+        other = Graph()
+        other.addN(base.base)
+        other.addN(self.EXTRA)
+        assert base.delta(other) is None

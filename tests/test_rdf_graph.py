@@ -3,6 +3,7 @@
 import operator
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.rdf import FrozenGraphError
 from repro.rdf.graph import Graph
@@ -83,6 +84,15 @@ class TestAddRemove:
         g = Graph()
         g.addN([(ex("a"), ex("p"), ex("b")), (ex("a"), ex("p"), ex("c"))])
         assert len(g) == 2
+
+    def test_addN_that_raises_part_way_keeps_its_counters(self):
+        g = Graph()
+        with pytest.raises(TypeError):
+            g.addN([(ex("a"), ex("p"), ex("b")), (Literal("x"), ex("p"), ex("c"))])
+        assert len(g) == 1 and set(g) == {(ex("a"), ex("p"), ex("b"))}
+        rebuilt = Graph()
+        rebuilt.add((ex("a"), ex("p"), ex("b")))
+        assert g.fingerprint() == rebuilt.fingerprint()
 
 
 class TestPatternMatching:
@@ -305,3 +315,110 @@ class TestFreeze:
         assert small_graph.fingerprint() == fingerprint
         assert small_graph.cardinality((ex("alice"), ex("knows"), None)) == 2
         assert clone.cardinality((ex("alice"), ex("knows"), None)) == 3
+
+
+# ---------------------------------------------------------------------------
+# Model test: one graph family against Python sets
+# ---------------------------------------------------------------------------
+_NODES = [ex(f"n{i}") for i in range(4)]
+_PREDICATES = _NODES[:3]
+_OBJECTS = _NODES + [Literal("v"), Literal(2)]
+_UNIVERSE = [(s, p, o) for s in _NODES for p in _PREDICATES for o in _OBJECTS]
+#: Every pattern over the universe's terms (plus one term no graph holds),
+#: covering all 8 bound/unbound shapes.
+_PATTERNS = [(s, p, o)
+             for s in _NODES + [None]
+             for p in _PREDICATES + [ex("absent"), None]
+             for o in _OBJECTS + [None]]
+_MAX_FAMILY = 6
+
+_model_triples = st.sampled_from(_UNIVERSE)
+_slot = st.integers(0, _MAX_FAMILY - 1)
+_family_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), _slot, _model_triples),
+    st.tuples(st.just("add_many"), _slot, st.lists(_model_triples, max_size=8)),
+    st.tuples(st.just("remove"), _slot, _model_triples),
+    st.tuples(st.just("remove_pattern"), _slot, st.sampled_from(_PATTERNS)),
+    st.tuples(st.just("clear"), _slot),
+    st.tuples(st.just("copy"), _slot),
+    st.tuples(st.just("freeze"), _slot),
+), max_size=40)
+
+
+def _matches(triple, pattern):
+    return all(bound is None or bound == term for term, bound in zip(triple, pattern))
+
+
+def _fresh(model):
+    """A graph in a family of its own holding ``model``."""
+    graph = Graph()
+    graph.addN(model)
+    return graph
+
+
+class TestGraphFamilyModel:
+    """Random add/remove/copy/freeze sequences over one graph family agree
+    with a Python ``set`` per graph: the SPO index is the only record of
+    the triples, so every count, scan, membership test and set operation
+    must read it (and its COW sharing) correctly."""
+
+    @staticmethod
+    def _apply(op, family, models):
+        kind, slot = op[0], op[1] % len(family)
+        graph, model = family[slot], models[slot]
+        if kind == "copy":
+            if len(family) < _MAX_FAMILY:
+                family.append(graph.copy())
+                models.append(set(model))
+            return
+        if kind == "freeze":
+            graph.freeze()
+            return
+        if kind == "add":
+            mutate, expected = (lambda: graph.add(op[2])), model | {op[2]}
+        elif kind == "add_many":
+            mutate, expected = (lambda: graph.addN(op[2])), model | set(op[2])
+        elif kind == "remove":
+            mutate, expected = (lambda: graph.remove(op[2])), model - {op[2]}
+        elif kind == "remove_pattern":
+            mutate = lambda: graph.remove(op[2])  # noqa: E731
+            expected = {t for t in model if not _matches(t, op[2])}
+        else:
+            mutate, expected = graph.clear, set()
+        if graph.frozen:
+            with pytest.raises(FrozenGraphError):
+                mutate()
+        else:
+            mutate()
+            models[slot] = expected
+
+    @given(st.lists(_model_triples, max_size=20), _family_ops)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_family_agrees_with_set_models(self, seed, ops):
+        family = [_fresh(seed)]
+        models = [set(seed)]
+        for op in ops:
+            self._apply(op, family, models)
+            # A write to one member never shows in any other.
+            for graph, model in zip(family, models):
+                assert len(graph) == len(model)
+                assert set(graph) == model
+                assert set(graph.triples_ids()) == {
+                    graph.encode_triple(t) for t in model}
+        for graph, model in zip(family, models):
+            assert graph.fingerprint() == _fresh(model).fingerprint()
+            assert graph.index_stats()["triples"] == len(model)
+            for triple in _UNIVERSE:
+                assert (triple in graph) == (triple in model)
+            for pattern in _PATTERNS:
+                expected = sum(1 for t in model if _matches(t, pattern))
+                assert graph.cardinality(pattern) == expected
+                assert set(graph.triples(pattern)) == {
+                    t for t in model if _matches(t, pattern)}
+        others = list(zip(family, models)) + [(_fresh(m), m) for m in models]
+        for graph, model in zip(family, models):
+            for other, other_model in others:
+                assert (graph == other) == (model == other_model)
+                assert set(graph - other) == model - other_model
+                assert set(graph & other) == model & other_model

@@ -137,8 +137,9 @@ def test_seed_has_two_closures_the_second_delta_chained(seed, scratch):
     base, (first, second) = _seed_graphs()
     # The writer chains an entry to its predecessor when that delta is the
     # smaller one (see save_snapshot); assert the seed takes that branch.
-    chained = (len(second.closure._triples ^ first.closure._triples)
-               < len(second.closure._triples ^ base._triples))
+    second_ids = set(second.closure.triples_ids())
+    chained = (len(second_ids ^ set(first.closure.triples_ids()))
+               < len(second_ids ^ set(base.triples_ids())))
     assert chained
     path = scratch / "seed-check.snap"
     path.write_bytes(seed)
