@@ -63,7 +63,12 @@ DEFAULT_TYPE_FOR_QUESTION: Dict[QuestionType, str] = {
 
 
 class ExplanationEngine:
-    """Generates FEO explanations for user questions about food recommendations."""
+    """Generates FEO explanations for user questions about food recommendations.
+
+    The catalogue is read-only once the engine is built: the builder's
+    frozen base graph is loaded from it, and the generators cache
+    aggregates derived from it on first use.
+    """
 
     def __init__(
         self,

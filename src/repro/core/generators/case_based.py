@@ -5,11 +5,16 @@ Coach recommender for a population of comparison users (by default the
 built-in personas) and reports which comparable users — those sharing a
 diet, condition, goal or liked food with the asker — also received the
 question's recipe among their top recommendations.
+
+A population member's recommendations depend only on the member and the
+catalogue, which is read-only once an engine is built, so each member's
+``{recipe: rank}`` map is computed once, on first use, and shared by
+every later ask; only the asker's similarity is computed per ask.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...foodkg.schema import FoodCatalog
 from ...recommender.health_coach import HealthCoach
@@ -52,28 +57,41 @@ class CaseBasedExplanationGenerator(ExplanationGenerator):
             pair for pair in all_personas().values()
         ]
         self._top_k = top_k
+        #: Per population member, its top-k ``{recipe: rank}``, or ``None``
+        #: until first used.
+        self._ranks: List[Optional[Dict[str, int]]] = [None] * len(self._population)
+
+    def _ranks_for(self, index: int) -> Dict[str, int]:
+        ranks = self._ranks[index]
+        if ranks is None:
+            # Assemble, then publish: concurrent first uses at worst both
+            # build the same map.
+            profile, context = self._population[index]
+            ranks = {rec.recipe: rec.rank
+                     for rec in self._coach.recommend(profile, context, top_k=self._top_k)}
+            self._ranks[index] = ranks
+        return ranks
 
     def generate(self, scenario: Scenario, **kwargs) -> Explanation:
         recipe = (getattr(scenario.question, "recipe", "")
                   or getattr(scenario.question, "primary", ""))
         items: List[ExplanationItem] = []
         if recipe:
-            for profile, context in self._population:
+            for index, (profile, _) in enumerate(self._population):
                 if profile.identifier == scenario.user.identifier:
                     continue
                 similarity = _similarity(scenario.user, profile)
                 if similarity == 0:
                     continue
-                recommendations = self._coach.recommend(profile, context, top_k=self._top_k)
-                matching = [rec for rec in recommendations if rec.recipe == recipe]
-                if matching:
+                rank = self._ranks_for(index).get(recipe)
+                if rank is not None:
                     items.append(ExplanationItem(
                         subject=profile.name or profile.identifier,
                         role="case",
                         characteristic_type="UserCharacteristic",
                         detail=(f"{profile.name or profile.identifier} (similarity {similarity}) was "
-                                f"also recommended {recipe} at rank {matching[0].rank}"),
-                        value=str(matching[0].rank),
+                                f"also recommended {recipe} at rank {rank}"),
+                        value=str(rank),
                     ))
 
         return Explanation(

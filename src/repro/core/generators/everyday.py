@@ -4,12 +4,16 @@ Deferred to future work in the paper.  Everyday explanations appeal to
 common knowledge rather than formal evidence; the closest knowledge-graph
 signal is ingredient co-occurrence — foods that frequently appear in the
 same recipes 'go together' in everyday cooking.
+
+A name's pairings depend only on the catalogue, which is read-only once
+an engine is built, so they are computed once per recipe or ingredient
+name, on first ask; the memo holds at most one entry per catalogue name.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
+from typing import Dict, List, Tuple
 
 from ...foodkg.schema import FoodCatalog
 from ..explanation import Explanation, ExplanationItem
@@ -32,9 +36,18 @@ class EverydayExplanationGenerator(ExplanationGenerator):
     def __init__(self, catalog: FoodCatalog, max_pairings: int = 5) -> None:
         self._catalog = catalog
         self._max_pairings = max_pairings
+        self._pairings: Dict[str, Tuple[str, ...]] = {}
 
     def pairings_for(self, food_name: str) -> List[str]:
         """Foods most frequently co-occurring with ``food_name`` across recipes."""
+        pairings = self._pairings.get(food_name)
+        if pairings is None:
+            pairings = self._rank_pairings(food_name)
+            if food_name in self._catalog.recipes or food_name in self._catalog.ingredients:
+                self._pairings[food_name] = pairings
+        return list(pairings)
+
+    def _rank_pairings(self, food_name: str) -> Tuple[str, ...]:
         counter: Counter = Counter()
         if food_name in self._catalog.recipes:
             anchors = set(self._catalog.recipes[food_name].ingredients)
@@ -50,7 +63,7 @@ class EverydayExplanationGenerator(ExplanationGenerator):
                         counter[other] += 1
         # Ties break by name, not by set iteration order (the hash seed).
         ranked = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-        return [name for name, _ in ranked[:self._max_pairings]]
+        return tuple(name for name, _ in ranked[:self._max_pairings])
 
     def generate(self, scenario: Scenario, **kwargs) -> Explanation:
         subject = (getattr(scenario.question, "recipe", "")

@@ -118,7 +118,16 @@ class ConditionRule:
 
 @dataclass
 class FoodCatalog:
-    """A complete catalogue: ingredients, recipes and health rules."""
+    """A complete catalogue: ingredients, recipes and health rules.
+
+    Build the catalogue first, then hand it to an engine: once an
+    :class:`~repro.core.engine.ExplanationEngine` (or a
+    :class:`~repro.core.scenario.ScenarioBuilder`) is built over it, the
+    catalogue is read-only.  The builder's frozen base graph is loaded
+    from it once, and the generators derive catalogue-wide aggregates
+    from it once (recipe counts, population rankings, pairings); an
+    ``add_*`` call afterwards reaches neither.
+    """
 
     ingredients: Dict[str, IngredientRecord] = field(default_factory=dict)
     recipes: Dict[str, RecipeRecord] = field(default_factory=dict)

@@ -28,6 +28,9 @@ as if the user had signed in again — which is the documented trade-off
 for bounding memory.  Sessions opened with an explicit profile have no
 spec and still raise :class:`~repro.errors.UnknownEntityError` (a
 :class:`KeyError` subclass) after eviction.
+
+Idle time is read from the registry's ``clock`` (``time.time`` unless
+one is injected), so a test can step time instead of sleeping.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import UnknownEntityError
 from .context import SystemContext
@@ -62,11 +65,13 @@ class UserSession:
     last_active: float = field(default_factory=time.time)
     questions_asked: int = 0
     history: List[str] = field(default_factory=list)
+    #: The time source that stamps ``last_active`` (its registry's clock).
+    clock: Callable[[], float] = field(default=time.time, repr=False, compare=False)
 
     def record_question(self, question_text: str, keep_last: int = 50) -> None:
         """Note that the session asked ``question_text`` (bounded history)."""
         self.questions_asked += 1
-        self.last_active = time.time()
+        self.last_active = self.clock()
         self.history.append(question_text)
         if len(self.history) > keep_last:
             del self.history[: len(self.history) - keep_last]
@@ -88,12 +93,14 @@ class SessionRegistry:
     beyond ``max_sessions`` evicts the stalest one, and (with ``idle_ttl``
     set) any access first expires sessions idle longer than the TTL.
     Evicted persona-addressed sessions rebuild transparently on the next
-    :meth:`get` (see the module docstring).
+    :meth:`get` (see the module docstring).  ``clock`` returns the current
+    time in seconds; it stamps sessions and drives the TTL.
     """
 
     def __init__(self, max_sessions: int = 1024,
                  idle_ttl: Optional[float] = None,
-                 max_rebuild_specs: int = 8192) -> None:
+                 max_rebuild_specs: int = 8192,
+                 clock: Callable[[], float] = time.time) -> None:
         if max_sessions <= 0:
             raise ValueError("max_sessions must be positive")
         if idle_ttl is not None and idle_ttl <= 0:
@@ -101,6 +108,7 @@ class SessionRegistry:
         self.max_sessions = max_sessions
         self.idle_ttl = idle_ttl
         self.max_rebuild_specs = max_rebuild_specs
+        self.clock = clock
         self._sessions: "OrderedDict[str, UserSession]" = OrderedDict()
         #: session_id -> persona key, for transparent post-eviction rebuilds.
         #: Bounded LRU of its own: a spec is a two-string entry, so the cap
@@ -135,6 +143,13 @@ class SessionRegistry:
         while len(self._rebuild_specs) > self.max_rebuild_specs:
             self._rebuild_specs.popitem(last=False)
 
+    def _new_session(self, session_id: str, user: UserProfile,
+                     context: SystemContext, persona: Optional[str]) -> UserSession:
+        now = self.clock()
+        return UserSession(session_id=session_id, user=user, context=context,
+                           persona=persona, created_at=now, last_active=now,
+                           clock=self.clock)
+
     # ------------------------------------------------------------------
     def open(self, user: UserProfile, context: SystemContext,
              session_id: Optional[str] = None,
@@ -146,10 +161,9 @@ class SessionRegistry:
         """
         if session_id is None:
             session_id = f"session-{next(_session_counter)}"
-        session = UserSession(session_id=session_id, user=user, context=context,
-                              persona=persona)
+        session = self._new_session(session_id, user, context, persona)
         with self._lock:
-            self._expire_idle_locked(time.time())
+            self._expire_idle_locked(self.clock())
             self._sessions.pop(session_id, None)
             self._sessions[session_id] = session
             if persona is not None:
@@ -169,7 +183,7 @@ class SessionRegistry:
         profile cannot be rebuilt.
         """
         with self._lock:
-            self._expire_idle_locked(time.time())
+            self._expire_idle_locked(self.clock())
             session = self._sessions.get(session_id)
             if session is not None:
                 self._sessions.move_to_end(session_id)
@@ -183,8 +197,7 @@ class SessionRegistry:
         from .personas import persona as persona_lookup
 
         user, context = persona_lookup(persona_key)
-        session = UserSession(session_id=session_id, user=user, context=context,
-                              persona=persona_key)
+        session = self._new_session(session_id, user, context, persona_key)
         with self._lock:
             existing = self._sessions.get(session_id)
             if existing is not None:
@@ -211,7 +224,7 @@ class SessionRegistry:
         """Force a TTL sweep now; returns how many sessions were expired."""
         with self._lock:
             before = self.ttl_evictions
-            self._expire_idle_locked(time.time())
+            self._expire_idle_locked(self.clock())
             return self.ttl_evictions - before
 
     def active(self) -> List[UserSession]:

@@ -579,24 +579,39 @@ class TestHTTPServer:
 # ---------------------------------------------------------------------------
 # Session eviction and transparent rebuild
 # ---------------------------------------------------------------------------
+class _SteppedClock:
+    """A session registry clock that moves only when the test steps it."""
+
+    def __init__(self) -> None:
+        self.now = 1_000.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
 class TestSessionEviction:
     def test_idle_sessions_are_ttl_evicted(self):
-        registry = SessionRegistry(idle_ttl=0.05)
+        clock = _SteppedClock()
+        registry = SessionRegistry(idle_ttl=0.05, clock=clock)
         user, context = persona("paper")
         registry.open(user, context, session_id="idle-1")
         registry.open(user, context, session_id="idle-2")
         assert len(registry) == 2
-        time.sleep(0.12)
+        clock.sleep(0.12)
         assert registry.evict_idle() == 2
         assert len(registry) == 0
         assert registry.ttl_evictions == 2
 
     def test_evicted_persona_session_rebuilds_transparently(self, engine):
+        clock = _SteppedClock()
         service = ExplanationService(
-            engine=engine, registry=SessionRegistry(idle_ttl=0.05))
+            engine=engine, registry=SessionRegistry(idle_ttl=0.05, clock=clock))
         session = service.open_persona_session("paper")
         first = service.ask(QUESTION, session_id=session.session_id)
-        time.sleep(0.12)
+        clock.sleep(0.12)
         # The session is gone...
         assert service.registry.evict_idle() >= 1
         # ...but the same session id keeps working: the registry rebuilds it
@@ -611,14 +626,15 @@ class TestSessionEviction:
 
     def test_rebuild_restarts_from_the_persona_baseline(self, engine):
         """Documented trade-off: incremental profile growth dies with the TTL."""
+        clock = _SteppedClock()
         service = ExplanationService(
-            engine=engine, registry=SessionRegistry(idle_ttl=0.05))
+            engine=engine, registry=SessionRegistry(idle_ttl=0.05, clock=clock))
         session = service.open_persona_session("paper")
         service.ask(QUESTION, session_id=session.session_id)
         service.update_scenario(QUESTION, session_id=session.session_id,
                                 likes=("Black Bean Tacos",))
         assert "Black Bean Tacos" in service.registry.get(session.session_id).user.likes
-        time.sleep(0.12)
+        clock.sleep(0.12)
         service.registry.evict_idle()
         rebuilt = service.registry.get(session.session_id)
         assert "Black Bean Tacos" not in rebuilt.user.likes
