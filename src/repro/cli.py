@@ -394,8 +394,9 @@ def _cmd_serve(engine: Optional[ExplanationEngine], args: argparse.Namespace) ->
 
     if engine is None and args.snapshot is not None:
         # Line-stream mode can cold-start from a snapshot too: rebuild the
-        # base graph family and seed every persisted closure into the
-        # builder's cache (a single service has no shard routing).
+        # base graph family, adopt its stored base closure and seed every
+        # persisted closure into the builder's cache (a single service has
+        # no shard routing).
         from .core.scenario import ScenarioBuilder
         from .foodkg import build_core_catalog
         from .storage import SnapshotError, load_snapshot
@@ -405,7 +406,8 @@ def _cmd_serve(engine: Optional[ExplanationEngine], args: argparse.Namespace) ->
         except (OSError, SnapshotError) as exc:
             print(f"error: cannot load snapshot: {exc}", file=sys.stderr)
             return 2
-        builder = ScenarioBuilder(build_core_catalog(), base_graph=loaded.graph)
+        builder = ScenarioBuilder(build_core_catalog(), base_graph=loaded.graph,
+                                  base_closure=loaded.base_closure)
         if builder.closure_cache is not None:
             for entry in loaded.closures:
                 builder.closure_cache.install(entry.asserted, entry.closure,

@@ -14,7 +14,8 @@ is a COW copy of that closure grown with the scenario's ~20 asserted
 triples by :meth:`~repro.owl.reasoner.Reasoner.extend`, not a full
 reasoning pass over the ontology + knowledge graph again.  Builders made
 by :meth:`ScenarioBuilder.fork` (one per shard) share the base graph, its
-axiom index and its closure.
+axiom index and its closure.  A builder cold-started from a snapshot is
+handed the snapshot's stored base closure and never reasons the base.
 
 Closures go through a per-builder
 :class:`~repro.owl.closure.MaterializationCache`: an identical request
@@ -109,6 +110,7 @@ class ScenarioBuilder:
         base_graph: Optional[Graph] = None,
         closure_cache: Optional[MaterializationCache] = None,
         use_closure_cache: bool = True,
+        base_closure: Optional[Graph] = None,
     ) -> None:
         self.catalog = catalog
         self.loader = FoodKGLoader()
@@ -118,9 +120,10 @@ class ScenarioBuilder:
             self._base = feo.build_combined_ontology()
             self.loader.graph = self._base
             self.loader.load(catalog)
-        # Freezes the base and extracts its axiom index once; the base
-        # closure itself is reasoned on the first closure miss.
-        self._base_closure = BaseClosure(self._base)
+        # Freezes the base and extracts its axiom index once.  The base
+        # closure is ``base_closure`` when given (a snapshot's stored
+        # closure of ``base_graph``), else reasoned on the first miss.
+        self._base_closure = BaseClosure(self._base, closure=base_closure)
         if closure_cache is not None:
             self.closure_cache: Optional[MaterializationCache] = closure_cache
         else:

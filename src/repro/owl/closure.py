@@ -57,7 +57,10 @@ fingerprint trigger exactly one materialisation), and entries round-trip
 through the persistent snapshot store via
 :meth:`MaterializationCache.export_entries` /
 :meth:`MaterializationCache.install`, which is how shards cold-start
-with warm closures.
+with warm closures.  The store keeps the base closure too, and a
+:class:`BaseClosure` built over a loaded snapshot adopts it, so a
+cold-started service's first miss extends it instead of reasoning the
+base.
 """
 
 from __future__ import annotations
@@ -89,13 +92,22 @@ class BaseClosure:
     shares one instance.  So do the reasoners it hands out: the rule
     tables (compiled matchers, triggers and emitters) are built from the
     axiom index once, by the first reasoner, not once per request.
+
+    ``closure``, when given, is the base's closure already reasoned
+    elsewhere — a snapshot's stored base closure
+    (:attr:`repro.storage.GraphSnapshot.base_closure`) — and is adopted
+    (frozen) instead of reasoned, so a cold-started service never reasons
+    the base.  It must share the base's term dictionary.
     """
 
-    def __init__(self, base: Graph) -> None:
+    def __init__(self, base: Graph, closure: Optional[Graph] = None) -> None:
+        if closure is not None and closure.dictionary is not base.dictionary:
+            raise ValueError("a base closure must share its base graph's "
+                             "term dictionary")
         self.base = base.freeze()
         self.axioms = AxiomIndex.from_graph(base)
         self._lock = threading.Lock()
-        self._closure: Optional[Graph] = None
+        self._closure: Optional[Graph] = None if closure is None else closure.freeze()
         self._tables: Optional[_RuleTables] = None
 
     def closure(self) -> Graph:

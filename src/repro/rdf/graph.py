@@ -131,14 +131,10 @@ class ChangeJournal:
         self.close()
 
 
-#: Sentinel distinguishing "key absent from the COW map" (fully private)
-#: from ``None`` (entry dict shared) in :meth:`Graph._index_add`.
-_COW_PRIVATE: object = object()
-
 #: The index entry of an absent key, shared by every bound-triple lookup
-#: (``_spo.get(s, _EMPTY).get(p, ())``) so a miss allocates nothing.
-#: Never written.
-_EMPTY: Dict[int, Set[int]] = {}
+#: (``_spo.get(s, _EMPTY).get(p, ())``) so a miss allocates nothing, and
+#: the shared index of a graph that shares nothing.  Never written.
+_EMPTY: Dict = {}
 
 
 class Graph:
@@ -162,19 +158,19 @@ class Graph:
         self._spo: Dict[int, Dict[int, Set[int]]] = {}
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
         self._osp: Dict[int, Dict[int, Set[int]]] = {}
-        # Two-level copy-on-write bookkeeping per index.  After a copy()
-        # both family members share every inner entry: ``cow[key] is
-        # None`` means the entry *dict* (and every leaf set under it) is
-        # shared; ``cow[key] == {mids...}`` means the dict is private but
-        # those mids' leaf sets are still shared; a key absent from the
-        # dict is fully private.  Un-sharing is lazy at both levels, so a
-        # write costs one shallow dict copy plus the touched leaf set —
-        # never a deep copy of a whole entry (the old behaviour, which
-        # made the first write to a popular predicate's POS entry copy
-        # thousands of leaf sets).
-        self._spo_cow: Dict[int, Optional[Set[int]]] = {}
-        self._pos_cow: Dict[int, Optional[Set[int]]] = {}
-        self._osp_cow: Dict[int, Optional[Set[int]]] = {}
+        # Two-level copy-on-write bookkeeping per index: the read-only
+        # outer index this graph's entries may share with its family
+        # since the last copy() (the frozen source's own index, or a
+        # snapshot both sides of the copy hold).  An entry dict, or a leaf
+        # set, is shared exactly when it *is* the object that index holds
+        # at the same place; anything else is private.  Un-sharing is lazy
+        # at both levels, so a write costs one shallow dict copy plus the
+        # touched leaf set — never a deep copy of a whole entry (the old
+        # behaviour, which made the first write to a popular predicate's
+        # POS entry copy thousands of leaf sets).
+        self._spo_shared: Dict[int, Dict[int, Set[int]]] = _EMPTY
+        self._pos_shared: Dict[int, Dict[int, Set[int]]] = _EMPTY
+        self._osp_shared: Dict[int, Dict[int, Set[int]]] = _EMPTY
         # Total triple count per predicate, maintained incrementally so the
         # query planner's cardinality estimates stay O(1).
         self._pred_counts: Dict[int, int] = {}
@@ -232,9 +228,9 @@ class Graph:
         hashes = self._dict.hashes
         self._content_hash ^= hash((hashes[s], hashes[p], hashes[o]))
         self._pred_counts[p] = self._pred_counts.get(p, 0) + 1
-        self._index_add(self._spo, self._spo_cow, s, p, o)
-        self._index_add(self._pos, self._pos_cow, p, o, s)
-        self._index_add(self._osp, self._osp_cow, o, s, p)
+        self._index_add(self._spo, self._spo_shared, s, p, o)
+        self._index_add(self._pos, self._pos_shared, p, o, s)
+        self._index_add(self._osp, self._osp_shared, o, s, p)
         if self._journals:
             for journal in self._journals:
                 journal._record_add(triple)
@@ -242,40 +238,30 @@ class Graph:
 
     @staticmethod
     def _index_add(index: Dict[int, Dict[int, Set[int]]],
-                   cow: Dict[int, Optional[Set[int]]],
+                   shared: Dict[int, Dict[int, Set[int]]],
                    key: int, mid: int, leaf: int) -> None:
         """Insert into one permutation index, un-sharing COW state first.
 
         Un-sharing is lazy at both levels: the first write to a shared
-        key shallow-copies its entry dict (leaf sets stay shared, tracked
-        in ``cow[key]``), and each leaf set is copied only when *it* is
-        first written.  A write is therefore O(buckets) once plus the
-        touched bucket — never the sum of all buckets.
+        entry shallow-copies its dict (leaf sets stay shared), and each
+        leaf set is copied only when *it* is first written.  A write is
+        therefore O(buckets) once plus the touched bucket — never the sum
+        of all buckets.
         """
         entry = index.get(key)
         if entry is None:
             index[key] = {mid: {leaf}}
             return
-        shared = cow.get(key, _COW_PRIVATE)
-        if shared is not _COW_PRIVATE:
-            if shared is None:  # the entry dict itself is still shared
-                entry = dict(entry)
-                index[key] = entry
-                shared = cow[key] = set(entry)
+        original = shared.get(key)
+        if original is not None:
+            if entry is original:  # the entry dict itself is still shared
+                entry = index[key] = dict(entry)
             leaves = entry.get(mid)
-            if leaves is None:
-                entry[mid] = {leaf}
-            elif mid in shared:
-                leaves = set(leaves)
-                leaves.add(leaf)
-                entry[mid] = leaves
-                shared.discard(mid)
-                if not shared:
-                    del cow[key]
-            else:
-                leaves.add(leaf)
-            return
-        leaves = entry.get(mid)
+            if leaves is not None and leaves is original.get(mid):
+                entry[mid] = {leaf, *leaves}
+                return
+        else:
+            leaves = entry.get(mid)
         if leaves is None:
             entry[mid] = {leaf}
         else:
@@ -293,7 +279,7 @@ class Graph:
             self._refuse()
         spo, pos, osp = self._spo, self._pos, self._osp
         spo_get = spo.get
-        spo_cow, pos_cow, osp_cow = self._spo_cow, self._pos_cow, self._osp_cow
+        spo_shared, pos_shared, osp_shared = self._spo_shared, self._pos_shared, self._osp_shared
         index_add = self._index_add
         pred_counts = self._pred_counts
         hashes = self._dict.hashes
@@ -308,9 +294,9 @@ class Graph:
                     continue
                 content_hash ^= hash((hashes[s], hashes[p], hashes[o]))
                 pred_counts[p] = pred_counts.get(p, 0) + 1
-                index_add(spo, spo_cow, s, p, o)
-                index_add(pos, pos_cow, p, o, s)
-                index_add(osp, osp_cow, o, s, p)
+                index_add(spo, spo_shared, s, p, o)
+                index_add(pos, pos_shared, p, o, s)
+                index_add(osp, osp_shared, o, s, p)
                 if journals:
                     for journal in journals:
                         journal._record_add(triple)
@@ -397,6 +383,9 @@ class Graph:
         raises :class:`FrozenGraphError` before touching the graph or its
         term dictionary."""
         self._frozen = True
+        # A frozen graph never un-shares, so it need not keep (and keep
+        # alive) the indexes it shares with.
+        self._spo_shared = self._pos_shared = self._osp_shared = _EMPTY
         return self
 
     @property
@@ -467,39 +456,30 @@ class Graph:
             self._pred_counts[p] = remaining
         else:
             self._pred_counts.pop(p, None)
-        for index, cow, key, mid in ((self._spo, self._spo_cow, s, p),
-                                     (self._pos, self._pos_cow, p, o),
-                                     (self._osp, self._osp_cow, o, s)):
-            shared = cow.get(key, _COW_PRIVATE)
-            if shared is _COW_PRIVATE:
-                continue
-            if shared is None:  # un-share the entry dict, keep leaves shared
-                entry = dict(index[key])
-                index[key] = entry
-                shared = cow[key] = set(entry)
-            if mid in shared:
-                index[key][mid] = set(index[key][mid])
-                shared.discard(mid)
-            if not shared:
-                del cow[key]
+        for index, shared, key, mid in ((self._spo, self._spo_shared, s, p),
+                                        (self._pos, self._pos_shared, p, o),
+                                        (self._osp, self._osp_shared, o, s)):
+            original = shared.get(key, _EMPTY)
+            entry = index[key]
+            if entry is original:  # un-share the entry dict, keep leaves shared
+                entry = index[key] = dict(entry)
+            if entry[mid] is original.get(mid):
+                entry[mid] = set(entry[mid])
         self._spo[s][p].discard(o)
         if not self._spo[s][p]:
             del self._spo[s][p]
             if not self._spo[s]:
                 del self._spo[s]
-                self._spo_cow.pop(s, None)
         self._pos[p][o].discard(s)
         if not self._pos[p][o]:
             del self._pos[p][o]
             if not self._pos[p]:
                 del self._pos[p]
-                self._pos_cow.pop(p, None)
         self._osp[o][s].discard(p)
         if not self._osp[o][s]:
             del self._osp[o][s]
             if not self._osp[o]:
                 del self._osp[o]
-                self._osp_cow.pop(o, None)
         if self._journals:
             for journal in self._journals:
                 journal._record_remove(triple)
@@ -522,9 +502,7 @@ class Graph:
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
-        self._spo_cow.clear()
-        self._pos_cow.clear()
-        self._osp_cow.clear()
+        self._spo_shared = self._pos_shared = self._osp_shared = _EMPTY
         self._pred_counts.clear()
         self._content_hash = 0
 
@@ -747,8 +725,8 @@ class Graph:
         duplicated here, the per-key entries stay shared until one side
         mutates them (see :meth:`_index_add`).  The SPO index is the only
         record of the triples, so a copy costs the three outer index
-        dicts, their COW marks and the predicate counters — O(distinct
-        nodes), not O(triples).  The
+        dicts (twice for a mutable source, which also snapshots them) and
+        the predicate counters — O(distinct nodes), not O(triples).  The
         per-entry nested dict/set duplication is deferred to the entries a
         mutation actually touches.  Journals are not carried over to the
         clone, and the clone of a frozen graph is mutable.
@@ -762,19 +740,18 @@ class Graph:
         clone._pos = dict(self._pos)
         clone._osp = dict(self._osp)
         # Every inner entry (dict and leaf sets) is now shared between
-        # the two graphs: mark everything dict-shared (value ``None``) on
-        # both sides so each un-shares lazily before its first write.
-        # Any finer-grained state from an earlier copy is superseded —
-        # over-marking as shared is always safe, it only costs the next
-        # write a shallow copy.  A frozen source never writes, so only
-        # the clone needs the marks.
-        clone._spo_cow = dict.fromkeys(clone._spo)
-        clone._pos_cow = dict.fromkeys(clone._pos)
-        clone._osp_cow = dict.fromkeys(clone._osp)
-        if not self._frozen:
-            self._spo_cow = dict.fromkeys(self._spo)
-            self._pos_cow = dict.fromkeys(self._pos)
-            self._osp_cow = dict.fromkeys(self._osp)
+        # the two graphs, so each side un-shares what the source's outer
+        # indexes now hold before writing it.  A frozen source never
+        # writes, so its own indexes serve; a mutable one hands both sides
+        # a snapshot of them.  Either supersedes any finer-grained state
+        # from an earlier copy — over-sharing is always safe, it only
+        # costs the next write a shallow copy.
+        if self._frozen:
+            shared = (self._spo, self._pos, self._osp)
+        else:
+            shared = (dict(self._spo), dict(self._pos), dict(self._osp))
+            self._spo_shared, self._pos_shared, self._osp_shared = shared
+        clone._spo_shared, clone._pos_shared, clone._osp_shared = shared
         clone._pred_counts = dict(self._pred_counts)
         return clone
 
@@ -889,29 +866,6 @@ class Graph:
         from ..sparql import query as sparql_query
 
         return sparql_query(self, query_text, init_bindings=initBindings)
-
-    def to_snapshot(self, path, closures=()) -> Dict[str, int]:
-        """Write this graph (and optional closure entries) to a binary
-        snapshot file — see :mod:`repro.storage.snapshot`.
-
-        Returns the save summary (term/triple/closure counts, file size).
-        """
-        from ..storage.snapshot import save_snapshot
-
-        return save_snapshot(path, self, closures=closures)
-
-    @classmethod
-    def from_snapshot(cls, path) -> "Graph":
-        """Rebuild a graph from a snapshot file written by :meth:`to_snapshot`.
-
-        Raises :class:`repro.storage.snapshot.SnapshotError` for invalid or
-        corrupted files; a partial graph is never returned.  Use
-        :func:`repro.storage.snapshot.load_snapshot` directly to also
-        recover the persisted closure entries.
-        """
-        from ..storage.snapshot import load_snapshot
-
-        return load_snapshot(path).graph
 
     # ------------------------------------------------------------------
     # Misc

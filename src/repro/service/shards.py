@@ -484,7 +484,8 @@ class ShardedExplanationService:
             # Cold-start from the persistent snapshot store: the base
             # graph (term dictionary, triples, indexes) is rebuilt from
             # the struct-packed image instead of re-parsed from turtle,
-            # and any persisted closures are seeded into the shard caches
+            # its stored closure becomes the fleet's base closure, and
+            # any persisted closures are seeded into the shard caches
             # below so first-touch requests skip materialisation.  The
             # catalog must be the one the snapshot graph was loaded from
             # (the curated core catalog unless ``catalog=`` says
@@ -492,7 +493,7 @@ class ShardedExplanationService:
             loaded = snapshot if isinstance(snapshot, GraphSnapshot) else load_snapshot(snapshot)
             self._base_engine = ExplanationEngine(builder=ScenarioBuilder(
                 catalog if catalog is not None else build_core_catalog(),
-                base_graph=loaded.graph))
+                base_graph=loaded.graph, base_closure=loaded.base_closure))
         else:
             # One base engine supplies the shared, read-only ontology + KG
             # graph (and its term dictionary); every shard's builder
@@ -545,10 +546,10 @@ class ShardedExplanationService:
             # the object population that tips the collector into a full
             # gen-2 pass mid-traffic — a multi-second stop-the-world that
             # stalls every in-flight request at once and lands squarely in
-            # the tail.  Sweep the construction garbage now, then freeze
-            # the survivors into the permanent generation so steady-state
-            # collections never retrace them.
-            gc.collect()
+            # the tail.  Freeze it into the permanent generation so
+            # steady-state collections never retrace it.  No collection
+            # first: the load builds no throwaway graphs, so one would
+            # find nearly nothing to free.
             gc.freeze()
             self._froze_gc = True
 

@@ -11,21 +11,26 @@ fast path — no tokenising, no term validation, no re-reasoning — which
 is why a snapshot load beats a turtle re-parse by an order of magnitude
 and a closure-bearing snapshot skips materialisation entirely.
 
-Closure graphs are **delta-chained**: a tenant's materialised closure
-shares almost everything with the previous tenant's (both are the base
-closure plus a per-tenant sliver), so the writer encodes each closure
-against whichever reference is smaller — the base graph or the previous
-entry's closure — and records the choice in a per-entry reference byte.
-On a fleet snapshot this shrinks both the file and the rebuild by ~50x
-versus encoding every closure against the base.
+Closures are stored against the **base closure**: every scenario closure
+is the base graph's closure plus a per-scenario sliver (see
+:class:`repro.owl.closure.BaseClosure`).  A snapshot with closure entries
+stores that closure once, as the triples it adds to the base graph, and
+each entry's closure as its added/removed triples against it.  The loader
+rebuilds the base closure as a frozen COW child of the base graph and each
+entry's closure as a COW child of that; a service that adopts it
+(``ScenarioBuilder(base_closure=...)``) extends it on its first miss
+instead of reasoning the base.  Without entries there is no such section.
 
 File layout (all integers little-endian)::
 
     header   magic "RSNP" | u16 version | u16 flags | u64 term_count
              | u64 triple_count | u64 payload_len | i64 fingerprint_hash
              | u32 closure_count | u32 crc32
-    payload  namespaces | term table | triple IDs (u32[3*n])
-             | index metadata | closure entries
+    payload  namespaces | term table | triple IDs (u32[3*n]) | index metadata
+             | base closure delta (if closure_count > 0) | closure entries
+    entry    label flag [label] | asserted delta vs the base graph
+             | closure delta vs the base closure | post-process triples
+    delta    added | removed triples (each u32 count + u32[3*count])
 
 Validation happens *before* any data is trusted: the magic and format
 version gate decoding, ``payload_len`` catches truncation, and the CRC-32
@@ -63,6 +68,7 @@ from functools import reduce
 from operator import xor
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
+from ..owl.reasoner import Reasoner
 from ..rdf.dictionary import KIND_BNODE, KIND_IRI, KIND_LITERAL
 from ..rdf.graph import EncodedTriple, Graph, Triple
 from ..rdf.terms import (
@@ -89,10 +95,10 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP"
-#: Version 2 extends the CRC-32 to cover the header prefix (everything
-#: before the CRC field itself), closing the v1 gap where a flipped
-#: ``flags`` or ``fingerprint_hash`` byte loaded silently.
-FORMAT_VERSION = 2
+#: Version 3 stores the base closure once and every entry's closure as a
+#: delta against it.  Version 2 chained each closure to the base graph or
+#: to the previous entry's closure; its files are rejected.
+FORMAT_VERSION = 3
 
 #: magic, version, flags, term_count, triple_count, payload_len,
 #: fingerprint_hash, closure_count, payload_crc32
@@ -106,11 +112,6 @@ _T_BNODE = 1
 _T_LIT_PLAIN = 2
 _T_LIT_LANG = 3
 _T_LIT_TYPED = 4
-
-#: Closure-entry reference byte: what the closure graph's delta is
-#: encoded against.
-_CLOSURE_REF_BASE = 0
-_CLOSURE_REF_PREV = 1
 
 _U32_MAX = 0xFFFFFFFF
 
@@ -171,7 +172,8 @@ class ClosureEntry:
     """One persisted closure: an asserted graph and its reasoned closure.
 
     Both graphs must belong to the snapshot base graph's family (share its
-    term dictionary); they are stored as ID-deltas against the base.
+    term dictionary); they are stored as ID-deltas against the base graph
+    and the base closure respectively, and load as COW children of them.
     ``post_added`` records the triples the closure's post-process pass
     appended (see :class:`repro.owl.closure.MaterializationCache`), so the
     incremental-extension path keeps working after a reload.  ``label`` is
@@ -191,6 +193,9 @@ class GraphSnapshot:
 
     graph: Graph
     closures: List[ClosureEntry] = field(default_factory=list)
+    #: The base graph's frozen closure, parent of every entry's closure
+    #: (``None`` without entries).
+    base_closure: Optional[Graph] = None
     #: The fingerprint recorded at save time.  Comparable to
     #: ``graph.fingerprint()`` only within the saving process (hash salt).
     saved_fingerprint: Tuple[int, int] = (0, 0)
@@ -248,6 +253,13 @@ def _pack_triples(out: List[bytes], triples: Iterable[EncodedTriple]) -> int:
     out.append(_U32.pack(len(ordered)))
     out.append(_pack_id_array(flat))
     return len(ordered)
+
+
+def _pack_delta(out: List[bytes], triples: Set[EncodedTriple],
+                reference: Set[EncodedTriple]) -> None:
+    """Append ``triples`` as what it adds to and removes from ``reference``."""
+    _pack_triples(out, triples - reference)
+    _pack_triples(out, reference - triples)
 
 
 def _encode_term_triples(graph: Graph, triples: Iterable[Triple],
@@ -316,40 +328,20 @@ def save_snapshot(path: Union[str, "object"], graph: Graph,
     out.append(_U32.pack(len(pred_counts)))
     for pid in sorted(pred_counts):
         out.append(struct.pack("<II", pid, pred_counts[pid]))
-    # 5. Closure entries as ID-deltas.  Asserted graphs diff against the
-    #    base (they are base + a per-scenario sliver); closure graphs
-    #    diff against whichever reference is smaller — the base, or the
-    #    previous entry's closure, which shares the whole materialised
-    #    common core (_CLOSURE_REF_* byte records the choice).
-    prev_closure: Optional[Set[EncodedTriple]] = None
+    # 5. Closures as ID-deltas: the base closure (reasoned as
+    #    BaseClosure.closure() does, on a copy, so ``graph`` stays as it
+    #    is) against the base, then each entry against base and closure.
+    if closure_list:
+        base_closure = set(Reasoner(graph).run().triples_ids())
+        _pack_delta(out, base_closure, base_triples)
     for entry in closure_list:
         if entry.label is None:
             out.append(b"\x00")
         else:
             out.append(b"\x01")
             _pack_str(out, entry.label)
-        asserted_triples = set(entry.asserted.triples_ids())
-        _pack_triples(out, asserted_triples - base_triples)
-        _pack_triples(out, base_triples - asserted_triples)
-        closure_triples = set(entry.closure.triples_ids())
-        base_added = closure_triples - base_triples
-        base_removed = base_triples - closure_triples
-        if prev_closure is not None:
-            prev_added = closure_triples - prev_closure
-            prev_removed = prev_closure - closure_triples
-            chain = (len(prev_added) + len(prev_removed)
-                     < len(base_added) + len(base_removed))
-        else:
-            chain = False
-        if chain:
-            out.append(bytes((_CLOSURE_REF_PREV,)))
-            _pack_triples(out, prev_added)
-            _pack_triples(out, prev_removed)
-        else:
-            out.append(bytes((_CLOSURE_REF_BASE,)))
-            _pack_triples(out, base_added)
-            _pack_triples(out, base_removed)
-        prev_closure = closure_triples
+        _pack_delta(out, set(entry.asserted.triples_ids()), base_triples)
+        _pack_delta(out, set(entry.closure.triples_ids()), base_closure)
         _pack_triples(out, _encode_term_triples(graph, entry.post_added,
                                                 "post-process"))
 
@@ -710,10 +702,16 @@ def _decode_payload(reader: _Reader, term_count: int, triple_count: int,
     if stored_counts != graph._pred_counts:
         raise SnapshotError("rebuilt per-predicate counters do not match "
                             "the snapshot's stored counters")
-    # 5. Closure entries, rebuilt as COW children of the base (or, for a
-    #    chained delta, of the previous entry's closure).
+    # 5. Closures, rebuilt as COW children: the base closure of the base
+    #    graph, then each entry's closure of the frozen base closure.
+    base_closure: Optional[Graph] = None
+    if closure_count:
+        added = reader.triples(term_count)
+        if reader.triples(term_count):
+            raise SnapshotError("the stored base closure removes base-graph "
+                                "triples (a closure contains its graph)")
+        base_closure = _apply_delta(graph, added, []).freeze()
     closures: List[ClosureEntry] = []
-    prev_closure: Optional[Graph] = None
     for _ in range(closure_count):
         label: Optional[str] = None
         flag = reader.u8()
@@ -723,19 +721,8 @@ def _decode_payload(reader: _Reader, term_count: int, triple_count: int,
             raise SnapshotError(f"invalid closure label flag {flag}")
         asserted = _apply_delta(graph, reader.triples(term_count),
                                 reader.triples(term_count))
-        ref = reader.u8()
-        if ref == _CLOSURE_REF_PREV:
-            if prev_closure is None:
-                raise SnapshotError("first closure entry cannot be "
-                                    "delta-chained to a previous closure")
-            reference = prev_closure
-        elif ref == _CLOSURE_REF_BASE:
-            reference = graph
-        else:
-            raise SnapshotError(f"invalid closure reference byte {ref}")
-        closure = _apply_delta(reference, reader.triples(term_count),
+        closure = _apply_delta(base_closure, reader.triples(term_count),
                                reader.triples(term_count))
-        prev_closure = closure
         post_added = tuple(graph.decode_triple(t)
                            for t in reader.triples(term_count))
         closures.append(ClosureEntry(asserted=asserted, closure=closure,
@@ -746,6 +733,7 @@ def _decode_payload(reader: _Reader, term_count: int, triple_count: int,
     return GraphSnapshot(
         graph=graph,
         closures=closures,
+        base_closure=base_closure,
         saved_fingerprint=(triple_count, content_hash),
         stats={
             "terms": term_count,

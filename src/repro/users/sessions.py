@@ -176,6 +176,9 @@ class SessionRegistry:
     def get(self, session_id: str) -> UserSession:
         """Return the live session, marking it most-recently-active.
 
+        The session moves to the most-recent end of the LRU and its
+        ``last_active`` is stamped with the registry clock, so the order
+        the TTL sweep scans stays the order of ``last_active``.
         An evicted persona-addressed session is transparently re-opened
         from its persona's canonical profile (counted in :attr:`rebuilds`).
         Raises :class:`~repro.errors.UnknownEntityError` for ids that were
@@ -183,9 +186,11 @@ class SessionRegistry:
         profile cannot be rebuilt.
         """
         with self._lock:
-            self._expire_idle_locked(self.clock())
+            now = self.clock()
+            self._expire_idle_locked(now)
             session = self._sessions.get(session_id)
             if session is not None:
+                session.last_active = now
                 self._sessions.move_to_end(session_id)
                 return session
             persona_key = self._rebuild_specs.get(session_id)
@@ -201,6 +206,7 @@ class SessionRegistry:
         with self._lock:
             existing = self._sessions.get(session_id)
             if existing is not None:
+                existing.last_active = self.clock()
                 self._sessions.move_to_end(session_id)
                 return existing
             self._sessions[session_id] = session

@@ -605,6 +605,22 @@ class TestSessionEviction:
         assert len(registry) == 0
         assert registry.ttl_evictions == 2
 
+    def test_get_stamps_last_active_so_no_idle_session_hides_behind_a_fresher_one(self):
+        clock = _SteppedClock()
+        registry = SessionRegistry(idle_ttl=0.05, clock=clock)
+        user, context = persona("paper")
+        registry.open(user, context, session_id="A")
+        clock.sleep(0.04)
+        registry.open(user, context, session_id="B")
+        assert registry.get("A").last_active == clock.now
+        clock.sleep(0.04)
+        registry.evict_idle()
+        # Every session the sweep leaves live was active within the TTL.
+        assert all(clock.now - session.last_active <= registry.idle_ttl
+                   for session in registry.active())
+        clock.sleep(0.02)
+        assert registry.evict_idle() == 2
+
     def test_evicted_persona_session_rebuilds_transparently(self, engine):
         clock = _SteppedClock()
         service = ExplanationService(
@@ -786,6 +802,21 @@ class TestSingleFlight:
                            for _ in range(max(2, WORKERS))]
             barrier = threading.Barrier(len(session_ids))
             fingerprints, errors = [], []
+            cache = sharded.shards[0].service.engine.builder.closure_cache
+            post_process = cache._post_process
+
+            def held_post_process(*args):
+                # A miss that extends an already-built base closure takes a
+                # few ms: hold the claimed build until the racing first
+                # touches have queued behind it, so the race is not left to
+                # the thread scheduler.
+                deadline = time.time() + 30
+                while cache.single_flight_waits < len(session_ids) - 1:
+                    assert time.time() < deadline, "the racers never queued"
+                    time.sleep(0.005)
+                return post_process(*args)
+
+            cache._post_process = held_post_process
 
             def client(session_id):
                 try:
@@ -795,17 +826,9 @@ class TestSingleFlight:
                 except Exception as exc:  # pragma: no cover - surfaced below
                     errors.append(exc)
 
-            # A miss that extends an already-built base closure takes a few
-            # ms, less than one default GIL switch interval: interleave the
-            # racing first touches so the others find the build in flight.
-            switch = sys.getswitchinterval()
-            sys.setswitchinterval(1e-4)
-            try:
-                _run_threads([lambda sid=sid: client(sid) for sid in session_ids])
-            finally:
-                sys.setswitchinterval(switch)
+            _run_threads([lambda sid=sid: client(sid) for sid in session_ids])
             assert not errors, f"dog-pile clients failed: {errors[:3]}"
-            stats = sharded.shards[0].service.engine.builder.closure_cache.stats()
+            stats = cache.stats()
             assert stats["misses"] == 1, \
                 "N concurrent first-touch asks must cost one materialisation"
             assert stats["single_flight_waits"] >= 1

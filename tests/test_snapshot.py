@@ -1,9 +1,10 @@
 """Unit tests for the persistent snapshot store (`repro.storage.snapshot`).
 
 Covers the graph-family round-trip (terms, triples, namespaces, index
-metadata), closure-entry persistence — including delta-chained entries
-and the cold-start ``install`` path — and the fail-closed behaviour on
-corrupted, truncated or wrong-version files.
+metadata), closure-entry persistence — entries stored against the base
+closure and rebuilt as its COW children, the cold-start ``install`` path
+and a fleet cold-started onto the stored base closure — and the
+fail-closed behaviour on corrupted, truncated or wrong-version files.
 """
 
 from __future__ import annotations
@@ -12,10 +13,14 @@ import struct
 
 import pytest
 
-from repro.owl import MaterializationCache, Reasoner
+from repro.cli import main
+from repro.core.engine import ExplanationEngine
+from repro.core.questions import parse_question
+from repro.owl import BaseClosure, MaterializationCache, Reasoner
 from repro.owl.vocabulary import RDF_TYPE, RDFS_SUBCLASSOF
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal
+from repro.service import ShardedExplanationService
 from repro.storage import (
     ClosureEntry,
     FORMAT_VERSION,
@@ -24,6 +29,7 @@ from repro.storage import (
     load_snapshot,
     save_snapshot,
 )
+from repro.users.personas import persona
 
 EX = "http://example.org/"
 
@@ -49,12 +55,12 @@ def _scenario(base: Graph, tag: str) -> Graph:
 
 
 class TestGraphRoundTrip:
-    def test_graph_methods_round_trip(self, tmp_path):
+    def test_graph_round_trips(self, tmp_path):
         graph = _family_graph()
         path = str(tmp_path / "family.snap")
-        stats = graph.to_snapshot(path)
+        stats = save_snapshot(path, graph)
         assert stats["triples"] == len(graph)
-        loaded = Graph.from_snapshot(path)
+        loaded = load_snapshot(path).graph
         assert set(loaded) == set(graph)
         assert loaded.fingerprint() == graph.fingerprint()
         assert loaded.index_stats() == graph.index_stats()
@@ -63,16 +69,16 @@ class TestGraphRoundTrip:
     def test_namespace_bindings_survive(self, tmp_path):
         graph = _family_graph()
         path = str(tmp_path / "family.snap")
-        graph.to_snapshot(path)
-        loaded = Graph.from_snapshot(path)
+        save_snapshot(path, graph)
+        loaded = load_snapshot(path).graph
         assert dict(loaded.namespaces())["ex"] == IRI(EX)
         assert loaded.qname(IRI(EX + "Dog")) == "ex:Dog"
 
     def test_loaded_graph_is_independently_mutable(self, tmp_path):
         graph = _family_graph()
         path = str(tmp_path / "family.snap")
-        graph.to_snapshot(path)
-        loaded = Graph.from_snapshot(path)
+        save_snapshot(path, graph)
+        loaded = load_snapshot(path).graph
         probe = (IRI(EX + "probe"), IRI(EX + "p"), IRI(EX + "o"))
         loaded.add(probe)
         loaded.remove((IRI(EX + "rex"), IRI(EX + "name"), Literal("Rex")))
@@ -81,8 +87,8 @@ class TestGraphRoundTrip:
 
     def test_empty_graph_round_trips(self, tmp_path):
         path = str(tmp_path / "empty.snap")
-        Graph().to_snapshot(path)
-        loaded = Graph.from_snapshot(path)
+        save_snapshot(path, Graph())
+        loaded = load_snapshot(path).graph
         assert len(loaded) == 0
         assert loaded.fingerprint() == Graph().fingerprint()
 
@@ -115,9 +121,9 @@ class TestClosurePersistence:
             # Restored graphs are one family with the loaded base.
             assert restored.asserted.dictionary is loaded.graph.dictionary
 
-    def test_delta_chained_siblings_round_trip(self, tmp_path):
-        """Near-identical sibling closures (the fleet-snapshot shape the
-        prev-chaining optimisation targets) restore exactly."""
+    def test_sibling_closures_round_trip_over_the_base_closure(self, tmp_path):
+        """Near-identical sibling closures (the fleet-snapshot shape) are
+        each the stored base closure plus a sliver, and restore exactly."""
         base = _family_graph()
         entries = []
         for n in range(6):
@@ -125,12 +131,33 @@ class TestClosurePersistence:
             closure = Reasoner(asserted).run()
             entries.append(ClosureEntry(asserted=asserted, closure=closure,
                                         label=f"sibling-{n}"))
-        path = str(tmp_path / "chained.snap")
+        path = str(tmp_path / "siblings.snap")
         save_snapshot(path, base, closures=entries)
+        assert not base.frozen
         loaded = load_snapshot(path)
+        assert set(loaded.base_closure) == set(Reasoner(base).run())
         for saved, restored in zip(entries, loaded.closures):
             assert set(restored.closure) == set(saved.closure)
             assert restored.closure.fingerprint() == saved.closure.fingerprint()
+            assert set(loaded.base_closure) < set(restored.closure)
+
+    def test_entry_closures_are_cow_children_of_the_base_closure(self, tmp_path):
+        base = _family_graph()
+        path = str(tmp_path / "warm.snap")
+        save_snapshot(path, base, closures=self._entries(base))
+        loaded = load_snapshot(path)
+        base_closure = loaded.base_closure
+        assert base_closure.frozen
+        assert base_closure.dictionary is loaded.graph.dictionary
+        # No entry's delta touches rex, so every closure shares its SPO entry.
+        rex = loaded.graph.dictionary.ids[IRI(EX + "rex")]
+        for entry in loaded.closures:
+            assert entry.closure._spo[rex] is base_closure._spo[rex]
+
+    def test_a_graph_only_snapshot_has_no_base_closure(self, tmp_path):
+        path = str(tmp_path / "family.snap")
+        save_snapshot(path, _family_graph())
+        assert load_snapshot(path).base_closure is None
 
     def test_loaded_entries_install_as_cache_hits(self, tmp_path):
         base = _family_graph()
@@ -182,6 +209,14 @@ class TestFailClosed:
         struct.pack_into("<H", blob, len(MAGIC), FORMAT_VERSION + 1)
         path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="version"):
+            load_snapshot(str(path))
+
+    def test_a_version_2_file_is_a_snapshot_error(self, tmp_path):
+        path = self._saved(tmp_path, closures=True)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<H", blob, len(MAGIC), 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="version 2"):
             load_snapshot(str(path))
 
     def test_truncated_header_and_payload(self, tmp_path):
@@ -255,3 +290,80 @@ class TestAtomicWrites:
         assert len(loaded.graph) == len(bigger)
         # No stray temp files once the replace lands.
         assert [p.name for p in tmp_path.iterdir()] == ["family.snap"]
+
+
+SEEDED_QUESTION = "Why should I eat Sushi?"
+
+
+@pytest.fixture(scope="module")
+def warm_snapshot(engine, tmp_path_factory):
+    """A snapshot of the core KG with one closure entry: the paper
+    persona's CQ1 about Sushi, labelled with its profile identifier."""
+    builder = engine.builder.fork(MaterializationCache())
+    user, context = persona("paper")
+    scenario = ExplanationEngine(builder=builder).build_scenario(
+        parse_question(SEEDED_QUESTION), user, context)
+    path = str(tmp_path_factory.mktemp("cold-start") / "warm.snap")
+    save_snapshot(path, builder._base, closures=[
+        ClosureEntry(asserted=asserted, closure=closure, post_added=post_added,
+                     label=user.identifier)
+        for asserted, closure, post_added in builder.closure_cache.export_entries()])
+    assert scenario.asserted.fingerprint() == load_snapshot(path).closures[0].asserted.fingerprint()
+    return path
+
+
+@pytest.fixture
+def full_runs(monkeypatch):
+    """Every full ``Reasoner.run`` made while the test runs (a base-closure
+    extension is a ``run`` override that calls none)."""
+    runs = []
+    original = Reasoner.run
+
+    def counting_run(self):
+        runs.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Reasoner, "run", counting_run)
+    return runs
+
+
+class TestColdStartOntoTheStoredBaseClosure:
+    def test_a_fleet_serves_a_non_seeded_miss_without_reasoning_the_base(
+            self, warm_snapshot, full_runs, engine):
+        loaded = load_snapshot(warm_snapshot)
+        fleet = ShardedExplanationService(num_shards=2, snapshot=loaded)
+        try:
+            base = fleet.shards[0].service.engine.builder._base_closure
+            assert base.closure() is loaded.base_closure
+            assert all(shard.service.engine.builder._base_closure is base
+                       for shard in fleet.shards)
+            question = "Why should I eat Cauliflower Potato Curry?"
+            response = fleet.ask(question, persona="paper")
+            assert fleet.stats().closure_cache["misses"] == 1
+            assert full_runs == []
+        finally:
+            fleet.stop()
+        reference = engine.build_scenario(parse_question(question), *persona("paper"))
+        assert set(response.scenario.inferred) == set(reference.inferred)
+
+    def test_line_mode_serve_hits_the_seeded_closure_and_adopts_the_base_closure(
+            self, warm_snapshot, full_runs, tmp_path, monkeypatch, capsys):
+        built = []
+        original_init = BaseClosure.__init__
+
+        def recording_init(self, base, closure=None):
+            original_init(self, base, closure=closure)
+            built.append(self)
+
+        monkeypatch.setattr(BaseClosure, "__init__", recording_init)
+        requests = tmp_path / "requests.txt"
+        requests.write_text(f"paper: {SEEDED_QUESTION}\n")
+        assert main(["serve", "--snapshot", warm_snapshot,
+                     "--requests", str(requests), "--stats"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [line for line in out.splitlines() if line.startswith("closure cache:")]
+        assert " hits 1 " in line and " misses 0 " in line
+        (base,) = built
+        assert base._closure is not None and base._closure.frozen
+        assert set(base._closure) == set(load_snapshot(warm_snapshot).base_closure)
+        assert full_runs == []

@@ -1,7 +1,7 @@
 """Property-based fuzzing of snapshot bytes (`repro.storage.load_snapshot`).
 
-The seed is a small real snapshot: a base graph plus two reasoned closure
-entries, the second delta-chained to the first.  Each example mutates it
+The seed is a small real snapshot: a base graph, its stored base closure
+and two labelled closure entries stored against it.  Each example mutates it
 (byte flips, truncation, insertion, rewritten header counters) and loads
 the mutant twice: once with its stored CRC-32, and once with the CRC
 recomputed over the edited bytes, so the decoder's own structural checks
@@ -133,18 +133,16 @@ MUTATION = st.one_of(
 )
 
 
-def test_seed_has_two_closures_the_second_delta_chained(seed, scratch):
+def test_seed_has_a_base_closure_section_and_two_labelled_entries(seed, scratch):
     base, (first, second) = _seed_graphs()
-    # The writer chains an entry to its predecessor when that delta is the
-    # smaller one (see save_snapshot); assert the seed takes that branch.
-    second_ids = set(second.closure.triples_ids())
-    chained = (len(second_ids ^ set(first.closure.triples_ids()))
-               < len(second_ids ^ set(base.triples_ids())))
-    assert chained
     path = scratch / "seed-check.snap"
     path.write_bytes(seed)
     loaded = load_snapshot(str(path))
+    assert loaded.base_closure is not None
+    assert set(loaded.base_closure) == set(Reasoner(base).run())
+    assert len(loaded.base_closure) > len(base)
     assert [entry.label for entry in loaded.closures] == ["tenant-a", "tenant-b"]
+    assert set(loaded.closures[0].closure) == set(first.closure)
     assert set(loaded.closures[1].closure) == set(second.closure)
 
 
